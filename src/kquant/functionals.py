@@ -449,25 +449,7 @@ def bk_geodesic(H0: HermForm, H1: HermForm) -> GeodesicInB:
 
 def _section_density_split(geo: GeodesicInB, grid, s: float) -> tuple[np.ndarray, np.ndarray]:
     """(sum_a e^{-2 lam_a s}|tau_a|^2, sum_a 2 lam_a e^{-2 lam_a s}|tau_a|^2)."""
-    from .quantize import _scaled_sections
-
-    k = geo.degree
-    if grid.mode == "radial":
-        from .quantize import section_basis
-
-        # Circle-invariant geodesics have monomial-supported eigenbases, so
-        # each |tau_a|^2 is radial; reject anything else.
-        C = geo.coeffs
-        mags = np.sort(np.abs(C), axis=0)
-        if C.shape[0] > 1 and np.max(mags[-2, :] / np.maximum(mags[-1, :], 1e-300)) > 1e-10:
-            raise KQuantError(
-                "geodesic eigenbasis is not circle-invariant; use the full 2D grid"
-            )
-        norms = section_basis(grid, k).norms  # (n_u, k+1) for |s_j|^2
-        tau_sq = norms @ (np.abs(C) ** 2)  # (n_u, N)
-    else:
-        B = _scaled_sections(grid, k) @ geo.coeffs
-        tau_sq = (np.abs(B) ** 2).reshape(grid.nodes.shape + (k + 1,))
+    tau_sq = grid.section_table(geo.degree, geo.coeffs)
     w = np.exp(-2.0 * geo.lambdas * s)
     dens = tau_sq @ w
     slope = tau_sq @ (2.0 * geo.lambdas * w)

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
-from .grids import Full2DGrid, RadialGrid, build_grid
+from .grids import Full2DGrid, KQuantError, RadialGrid, build_grid
 
 __all__ = [
     "SBAR",
@@ -66,10 +67,6 @@ def sections_dim(k: int) -> int:
     return k + 1
 
 
-class KQuantError(ValueError):
-    pass
-
-
 class NonKahlerError(KQuantError):
     """Raised when a potential fails pointwise positivity of its form."""
 
@@ -82,9 +79,9 @@ class Potential:
     full 2D grid.  ``invariant`` marks circle-invariant data (always true in
     radial mode).  ``profile`` optionally carries the exact u-polynomial
     (constant, degree-1-and-up coefficients) the values were sampled from;
-    derived metric quantities then use exact polynomial derivatives instead
-    of spectral differentiation, which matters for sup-norm tests near the
-    pole u = 1.
+    derived metric quantities then use exact polynomial derivatives on the
+    radial nodes of either grid instead of spectral differentiation, which
+    matters for sup-norm tests near the pole u = 1.
     """
 
     grid: RadialGrid | Full2DGrid
@@ -93,13 +90,9 @@ class Potential:
     profile: tuple[float, tuple[float, ...]] | None = None
 
     def __post_init__(self):
-        expect = (self.grid.resolution,) if self.grid.mode == "radial" else (
-            self.grid.resolution,
-            self.grid.n_theta,
-        )
-        if self.values.shape != expect:
+        if self.values.shape != self.grid.shape:
             raise KQuantError(
-                f"potential values shape {self.values.shape} does not match grid {expect}"
+                f"potential values shape {self.values.shape} does not match grid {self.grid.shape}"
             )
 
     def with_values(self, values: np.ndarray, invariant: bool | None = None) -> "Potential":
@@ -146,8 +139,7 @@ class Potential:
 
 
 def zero_potential(grid) -> Potential:
-    shape = (grid.resolution,) if grid.mode == "radial" else (grid.resolution, grid.n_theta)
-    return Potential(grid, np.zeros(shape), profile=(0.0, ()))
+    return Potential(grid, np.zeros(grid.shape), profile=(0.0, ()))
 
 
 def potential_from_radial_coeffs(grid, coeffs) -> Potential:
@@ -157,26 +149,18 @@ def potential_from_radial_coeffs(grid, coeffs) -> Potential:
     for m, c in enumerate(coeffs, start=1):
         vals = vals + c * grid.u**m
     prof = (0.0, tuple(float(c) for c in coeffs))
-    if grid.mode == "radial":
-        return Potential(grid, vals, profile=prof)
-    return Potential(
-        grid, np.repeat(vals[:, None], grid.n_theta, axis=1), invariant=True, profile=prof
-    )
+    return Potential(grid, grid.broadcast(vals), profile=prof)
 
 
 def potential_from_values(grid, values, invariant: bool | None = None) -> Potential:
     values = np.asarray(values, dtype=float)
     if invariant is None:
-        invariant = grid.mode == "radial" or bool(
-            np.allclose(values, values.mean(axis=-1, keepdims=True))
-        )
+        invariant = bool(np.allclose(values, grid.broadcast(grid.radial_part(values))))
     return Potential(grid, values, invariant)
 
 
 def save_potential(path, pot: Potential) -> None:
-    lines = [f"mode: {pot.grid.mode}", f"resolution: {pot.grid.resolution}"]
-    if pot.grid.mode == "full2d":
-        lines.append(f"n_theta: {pot.grid.n_theta}")
+    lines = [f"{key}: {value}" for key, value in pot.grid.header.items()]
     lines.append("values: " + " ".join(f"{v:.17g}" for v in np.ravel(pot.values)))
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -211,39 +195,20 @@ def load_potential(path, grid=None) -> Potential:
         grid = build_grid(mode, resolution, n_theta)
     if grid.mode != mode or grid.resolution != resolution:
         raise KQuantError("potential file header does not match the supplied grid")
-    shape = (resolution,) if mode == "radial" else (resolution, grid.n_theta)
-    return Potential(grid, raw.reshape(shape))
+    return Potential(grid, raw.reshape(grid.shape))
 
 
 # ---------------------------------------------------------------------------
 # Metric data
 
 
-def _base_coeff(grid) -> np.ndarray:
-    a0 = (1.0 - grid.u) ** 2
-    return a0 if grid.mode == "radial" else np.repeat(a0[:, None], grid.n_theta, axis=1)
+def _profile_fields(u: np.ndarray, profile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact g1, density and scalar curvature of a u-polynomial potential.
 
-
-def _density_field(pot: Potential) -> np.ndarray:
-    """Density A_phi / A_0 of d mu_phi against the base measure."""
-    grid = pot.grid
-    if grid.mode == "radial":
-        if pot.profile is not None:
-            return _profile_metric(grid.u, pot.profile)[0]
-        inner = grid.u * (1.0 - grid.u) * (grid.D @ pot.values)
-        return 1.0 + grid.D @ inner
-    return 1.0 + grid.ddbar(pot.values) / _base_coeff(grid)
-
-
-def _profile_metric(u: np.ndarray, profile) -> tuple[np.ndarray, np.ndarray]:
-    """Exact density and scalar curvature of a u-polynomial potential.
-
-    With g1 = u(1-u) phi_u the density is 1 + g1' and the curvature is
-    (2 dens^2 - W' dens + W dens') / dens^3 for W = u(1-u) dens', all exact
-    polynomial arithmetic.
+    With g1 = u(1-u) phi_u (so that rho F' = u + g1) the density is 1 + g1'
+    and the curvature is (2 dens^2 - W' dens + W dens') / dens^3 for
+    W = u(1-u) dens', all exact polynomial arithmetic.
     """
-    from numpy.polynomial import polynomial as P
-
     c0, cs = profile
     phi = np.concatenate(([c0], np.asarray(cs, dtype=float)))
     uu = np.array([0.0, 1.0, -1.0])  # u(1-u)
@@ -257,7 +222,7 @@ def _profile_metric(u: np.ndarray, profile) -> tuple[np.ndarray, np.ndarray]:
     Wv = P.polyval(u, W)
     dWv = P.polyval(u, dW)
     scalar = (2.0 * dens**2 - dWv * dens + Wv * ddens) / dens**3
-    return dens, scalar
+    return P.polyval(u, g1), dens, scalar
 
 
 @dataclass(frozen=True)
@@ -283,26 +248,12 @@ class MetricData:
         return self.potential.grid
 
     def laplace(self, values: np.ndarray) -> np.ndarray:
-        """Delta_phi f = -(d_z d_zbar f) / A_phi.
-
-        In radial mode the base factor (1-u)^2 cancels analytically between
-        the mixed derivative and A_phi, which keeps the operator accurate at
-        the outermost nodes.
-        """
-        grid = self.grid
-        if grid.mode == "radial":
-            inner = grid.u * (1.0 - grid.u) * (grid.D @ values)
-            return -(grid.D @ inner) / self.density
-        return -grid.ddbar(values) / self.a
+        """Delta_phi f = -(d_z d_zbar f) / A_phi = Delta_0 f / density."""
+        return self.grid.base_laplace(values) / self.density
 
     def inner_grad(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """(nabla f, nabla g) with norm |nabla f|^2 = |d_z f|^2 / A_phi."""
-        grid = self.grid
-        if grid.mode == "radial":
-            return grid.u * (1.0 - grid.u) * (grid.D @ f) * (grid.D @ g) / self.density
-        fr, gr = grid.d_drho(f), grid.d_drho(g)
-        ft, gt = grid.d_dtheta(f), grid.d_dtheta(g)
-        return (grid.rho[:, None] * fr * gr + ft * gt / (4.0 * grid.rho[:, None])) / self.a
+        return self.grid.base_inner_grad(f, g) / self.density
 
     def grad_norm_sq(self, f: np.ndarray) -> np.ndarray:
         """Riemannian |df|^2 = 2 |d_z f|^2 / A_phi."""
@@ -313,29 +264,29 @@ class MetricData:
 
 
 def metric_data(pot: Potential) -> MetricData:
-    """Assemble MetricData; rejects non-Kahler input (A_phi <= 0 anywhere)."""
+    """Assemble MetricData; rejects non-Kahler input (A_phi <= 0 anywhere).
+
+    A potential with a u-polynomial profile gets its density and curvature
+    from exact polynomial arithmetic on the radial nodes.
+    """
     grid = pot.grid
-    density = _density_field(pot)
+    if pot.profile is not None:
+        _, dens, scalar = _profile_fields(grid.u, pot.profile)
+        density, scalar = grid.broadcast(dens), grid.broadcast(scalar)
+    else:
+        density = 1.0 - grid.base_laplace(pot.values)
     if np.min(density) <= 0.0:
         raise NonKahlerError(
             f"potential not Kahler: min density {np.min(density):.3e} <= 0"
         )
-    a0 = _base_coeff(grid)
-    a = a0 * density
-    weights = grid.weights * density
-    # log A = log A0 + log(density); the base part has the closed-form mixed
-    # derivative -2 A0, so S(0) == 2 exactly.
-    if grid.mode == "radial":
-        if pot.profile is not None:
-            scalar = _profile_metric(grid.u, pot.profile)[1]
-        else:
-            bump = np.log(density)
-            inner = grid.u * (1.0 - grid.u) * (grid.D @ bump)
-            scalar = (2.0 - grid.D @ inner) / density
-    else:
-        bump = np.log(density)
-        scalar = (2.0 * a0 - grid.ddbar(bump)) / a
-    return MetricData(potential=pot, a=a, density=density, volume_weights=weights, scalar=scalar)
+    if pot.profile is None:
+        # log A = log A0 + log(density); the base part has the closed-form
+        # mixed derivative -2 A0, so S(0) == 2 exactly.
+        scalar = (2.0 + grid.base_laplace(np.log(density))) / density
+    a = grid.broadcast((1.0 - grid.u) ** 2) * density
+    return MetricData(
+        potential=pot, a=a, density=density, volume_weights=grid.weights * density, scalar=scalar
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +311,6 @@ class VectorFieldSpec:
     def is_zero(self) -> bool:
         return self.strength == 0.0 and self.moment_values is None
 
-    def killing_potential(self, grid) -> np.ndarray:
-        if self.moment_values is not None:
-            vals = self.moment_values - grid.integrate(self.moment_values)
-            return vals
-        vals = (grid.u - 0.5) / (2.0 * np.pi) * self.strength
-        return vals
-
     def flow_scale(self, time: float) -> float:
         """Chart dilation factor of the time-``time`` flow of the field."""
         if self.moment_values is not None:
@@ -390,17 +334,16 @@ def holomorphy_potential(
     defining equation is reported through an exception.
     """
     grid = pot.grid
-    if grid.mode != "radial" and not pot.invariant:
+    if not pot.invariant:
         raise KQuantError("holomorphy potentials need circle-invariant input")
     md = metric_data(pot)
-    a = md.a if grid.mode == "radial" else md.a[:, 0]
-    u = grid.u
+    rg = grid.radial
+    u = rg.u
     if V.moment_values is not None:
         # d theta = strength * A_phi/(2 pi) d rho is forced by holomorphy;
         # fit the strength and insist the residual is small.
-        mu = V.killing_potential(grid)
-        mu_rho = grid.d_drho(mu)
-        target = a / (2.0 * np.pi)
+        mu_rho = rg.d_drho(V.moment_values)
+        target = grid.radial_part(md.a) / (2.0 * np.pi)
         c = float(np.dot(mu_rho, target) / np.dot(target, target))
         resid = float(np.max(np.abs(mu_rho - c * target)) / max(np.max(np.abs(target)), 1e-300))
         if resid > tol:
@@ -414,25 +357,13 @@ def holomorphy_potential(
     if strength == 0.0:
         return np.zeros_like(pot.values)
     if pot.profile is not None:
-        from numpy.polynomial import polynomial as P
-
-        c0, cs = pot.profile
-        phi_c = np.concatenate(([c0], np.asarray(cs, dtype=float)))
-        g1 = (
-            P.polymul(np.array([0.0, 1.0, -1.0]), P.polyder(phi_c))
-            if len(phi_c) > 1
-            else np.array([0.0])
-        )
-        rho_fprime = u + P.polyval(u, g1)
+        g1 = _profile_fields(u, pot.profile)[0]
     else:
-        phi_vals = pot.values if grid.mode == "radial" else pot.values[:, 0]
-        rho_fprime = u + u * (1.0 - u) * (grid.D @ phi_vals)
-    theta = strength * rho_fprime / (2.0 * np.pi)
-    mdw = md.volume_weights if grid.mode == "radial" else md.volume_weights[:, 0] * grid.n_theta
+        g1 = u * (1.0 - u) * (rg.D @ grid.radial_part(pot.values))
+    theta = strength * (u + g1) / (2.0 * np.pi)
+    mdw = rg.weights * grid.radial_part(md.density)
     theta = theta - float(np.dot(mdw, theta))
-    if grid.mode == "radial":
-        return theta
-    return np.repeat(theta[:, None], grid.n_theta, axis=1)
+    return grid.broadcast(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -480,27 +411,14 @@ class AutomorphismLift:
     def base_potential(self, grid) -> np.ndarray:
         """c_sigma = log((1 + |scale|^2 rho)/(1 + rho)), in closed form."""
         lam2 = abs(self.scale) ** 2
-        vals = np.log1p((lam2 - 1.0) * grid.u)
-        if grid.mode == "radial":
-            return vals
-        return np.repeat(vals[:, None], grid.n_theta, axis=1)
+        return grid.broadcast(np.log1p((lam2 - 1.0) * grid.u))
 
     def compose_potential(self, pot: Potential) -> np.ndarray:
-        """Values of phi(sigma(z)) at the grid nodes."""
+        """Values of phi(sigma(z)) at the grid nodes: sample at |sigma(z)|, then rotate."""
+        if self.is_identity:
+            return pot.values
         grid = pot.grid
-        u_t = self.pulled_u(grid)
-        if grid.mode == "radial":
-            return grid.sample(pot.values, u_t)
-        from .grids import interp_matrix
-
-        P = interp_matrix(grid.u, grid.bary, u_t)
-        vals = P @ pot.values
-        beta = float(np.angle(self.scale))
-        if beta != 0.0:
-            spec = np.fft.fft(vals, axis=1)
-            m = np.fft.fftfreq(grid.n_theta, d=1.0 / grid.n_theta)
-            vals = np.real(np.fft.ifft(spec * np.exp(1j * m * beta)[None, :], axis=1))
-        return vals
+        return grid.rotate(grid.sample(pot.values, self.pulled_u(grid)), float(np.angle(self.scale)))
 
     def pullback_potential(self, pot: Potential, normalize: bool = False) -> Potential:
         """Potential of sigma^* omega_phi: c_sigma + phi o sigma."""

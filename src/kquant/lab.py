@@ -18,8 +18,8 @@ from . import functionals as F
 from . import geometry as G
 from . import quantize as Q
 from .geometry import TWIST_RATE_DEFAULT
-from .grids import build_grid
-from .reporting import FitResult, Report, Series, Verdict
+from .grids import build_grid, check_grid
+from .reporting import FORMATS, FitResult, Report, Series, Verdict
 
 __all__ = [
     "ACCEPTANCE",
@@ -101,6 +101,10 @@ class ExperimentConfig:
             raise G.KQuantError("resolution must lie in [8, 4096]")
         if self.group not in ("trivial", "circle"):
             raise G.KQuantError("group must be 'trivial' or 'circle'")
+        unknown = [fmt for fmt in self.formats if fmt not in FORMATS]
+        if unknown:
+            raise G.KQuantError(f"unknown report formats {unknown}; choices: {sorted(FORMATS)}")
+        check_grid(self.grid_mode, self.resolution, self.n_theta, self.k_list[-1])
 
     def tol(self, name: str) -> float:
         return float(self.tolerances.get(name, ACCEPTANCE[name]))
@@ -109,12 +113,15 @@ class ExperimentConfig:
 def fit_power_law(pairs) -> FitResult:
     """Least-squares power law v = C k^-p on log-log scale.
 
-    Nonpositive values are excluded (their count lands in the flag); a series
-    entirely below the exactness floor returns the ``exact`` flag instead of
-    a meaningless fit.  At least three positive points are required.
+    A NaN or infinite value is an error, never a point to drop.  Nonpositive
+    values are excluded (their count lands in the flag); a series entirely
+    below the exactness floor returns the ``exact`` flag instead of a
+    meaningless fit.  At least three positive points are required.
     """
     ks = np.array([float(k) for k, _ in pairs])
     vs = np.array([float(v) for _, v in pairs])
+    if not np.all(np.isfinite(vs)):
+        raise G.KQuantError(f"power-law fit over non-finite values {vs.tolist()}")
     if np.all(np.abs(vs) <= ACCEPTANCE["exact_floor"]):
         return FitResult(coefficient=0.0, exponent=0.0, residual=0.0, flag="exact")
     keep = vs > 0
@@ -209,7 +216,7 @@ class _Ctx:
             "twist_strength": self.cfg.twist_strength,
             "grid_mode": self.cfg.grid_mode,
             "resolution": self.cfg.resolution,
-            "n_theta": self.cfg.n_theta if self.cfg.grid_mode != "radial" else None,
+            "n_theta": self.grid.header.get("n_theta"),
             "seed": self.cfg.seed,
             "potential": list(self.pot.profile[1]) if self.pot.profile else "samples",
         }

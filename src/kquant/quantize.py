@@ -60,9 +60,9 @@ class NotPositiveDefiniteError(KQuantError):
 class SectionBasis:
     """Monomial basis of the degree-k section space with pointwise tables.
 
-    ``log_norms`` holds log |s_j|^2 at the radial nodes, shape (n_u, k+1);
-    the full pairing (s_a, s_b)(z) is recovered with the angular phase
-    e^{i(a-b)theta}, kept implicit until Gram assembly.
+    ``norms`` holds |s_j|^2 at the radial nodes, shape (n_u, k+1); the full
+    pairing (s_a, s_b)(z) is recovered with the angular phase
+    e^{i(a-b)theta}, which the grid applies in its Gram and section tables.
     """
 
     grid: object
@@ -73,21 +73,8 @@ class SectionBasis:
         return sections_dim(self.degree)
 
     @property
-    def log_norms(self) -> np.ndarray:
-        u = self.grid.u
-        j = np.arange(self.degree + 1)
-        return j[None, :] * np.log(u)[:, None] + (self.degree - j)[None, :] * np.log1p(
-            -u
-        )[:, None]
-
-    @property
     def norms(self) -> np.ndarray:
-        return np.exp(self.log_norms)
-
-    def pairing_at_origin(self) -> np.ndarray:
-        out = np.zeros((self.dimension, self.dimension))
-        out[0, 0] = 1.0
-        return out
+        return np.exp(self.grid.radial.log_section_norms(self.degree))
 
 
 def section_basis(grid, k: int) -> SectionBasis:
@@ -154,70 +141,26 @@ def load_herm_form(path) -> HermForm:
 # Gram and embedding maps
 
 
-def _scaled_sections(grid, k: int) -> np.ndarray:
-    """s_j(z) weighted by the base half-norm: z^j (1+rho)^{-k/2}, flattened.
-
-    Magnitudes are u^{j/2} (1-u)^{(k-j)/2} <= 1, so the table stays in range
-    for any degree.
-    """
-    j = np.arange(k + 1)
-    logmag = 0.5 * (
-        j[None, :] * np.log(grid.u)[:, None]
-        + (k - j)[None, :] * np.log1p(-grid.u)[:, None]
-    )
-    mag = np.exp(logmag)  # (n_u, k+1)
-    phase = np.exp(1j * grid.theta[:, None] * j[None, :])  # (n_theta, k+1)
-    return (mag[:, None, :] * phase[None, :, :]).reshape(-1, k + 1)
-
-
 def hilb(pot: Potential, k: int, md: MetricData | None = None) -> HermForm:
     """L^2 Gram form of the degree-k sections against e^{-k phi} d mu_phi.
 
-    Circle-invariant input gives a diagonal form in the monomial basis; the
-    full 2D path assembles the Gram matrix as P^dagger P so the result is
-    Hermitian positive semidefinite by construction.
+    Circle-invariant input on a radial grid gives a diagonal form in the
+    monomial basis; the full 2D grid assembles the Gram matrix as P^dagger P
+    so the result is Hermitian positive semidefinite by construction.
     """
-    grid = pot.grid
     md = metric_data(pot) if md is None else md
-    basis = section_basis(grid, k)
-    if grid.mode == "radial":
-        integrand = basis.norms * (np.exp(-k * pot.values) * md.volume_weights)[:, None]
-        return HermForm(entries=np.diag(integrand.sum(axis=0)).astype(complex), degree=k)
-    wt = (md.volume_weights * np.exp(-k * pot.values)).ravel()
-    P = _scaled_sections(grid, k) * np.sqrt(wt)[:, None]
-    return HermForm(entries=P.conj().T @ P, degree=k)
+    weight = np.exp(-k * pot.values) * md.volume_weights
+    return HermForm(entries=pot.grid.gram(k, weight), degree=k)
 
 
 def _inverse_contraction(form: HermForm, basis: SectionBasis) -> np.ndarray:
-    """sum_{ab} (H^{-1})_{ba} (s_a, s_b)(z) at the grid nodes (radial or 2D)."""
-    grid = basis.grid
+    """sum_{ab} (H^{-1})_{ba} (s_a, s_b)(z) at the grid nodes.
+
+    With H = L L^dagger the columns of L^{-dagger} are an H-orthonormal basis,
+    whose squared norms sum to the contraction.
+    """
     Linv = np.linalg.inv(form.cholesky())
-    Hinv = Linv.conj().T @ Linv
-    if grid.mode == "radial":
-        off = Hinv - np.diag(np.diag(Hinv))
-        if np.max(np.abs(off)) > 1e-11 * np.max(np.abs(np.diag(Hinv))):
-            raise KQuantError(
-                "non-diagonal form contracted against a radial grid; "
-                "use the full 2D grid for non-invariant data"
-            )
-        return basis.norms @ np.real(np.diag(Hinv))
-    B = _scaled_sections(grid, form.degree) @ Linv.conj().T
-    return np.sum(np.abs(B) ** 2, axis=1).reshape(grid.nodes.shape)
-
-
-def _eigh_contraction(form: HermForm, basis: SectionBasis) -> np.ndarray:
-    """Same density through an eigendecomposition orthonormalization."""
-    grid = basis.grid
-    H = 0.5 * (form.entries + form.entries.conj().T)
-    vals, vecs = np.linalg.eigh(H)
-    if vals.min() <= 0.0:
-        raise NotPositiveDefiniteError("form is not positive definite")
-    C = vecs / np.sqrt(vals)[None, :]  # columns: H-orthonormal coefficients
-    if grid.mode == "radial":
-        Hinv = C @ C.conj().T
-        return basis.norms @ np.real(np.diag(Hinv))
-    B = _scaled_sections(grid, form.degree) @ C
-    return np.sum(np.abs(B) ** 2, axis=1).reshape(grid.nodes.shape)
+    return basis.grid.section_density(form.degree, Linv.conj().T)
 
 
 def fs(form: HermForm, grid) -> Potential:
@@ -230,9 +173,7 @@ def fs(form: HermForm, grid) -> Potential:
     basis = section_basis(grid, form.degree)
     dens = _inverse_contraction(form, basis)
     vals = np.log(dens / basis.dimension) / form.degree
-    if grid.mode == "radial":
-        return Potential(grid, vals, invariant=True)
-    invariant = bool(np.allclose(vals, vals.mean(axis=1, keepdims=True), atol=1e-13))
+    invariant = bool(np.allclose(vals, grid.broadcast(grid.radial_part(vals)), atol=1e-13))
     return Potential(grid, vals, invariant=invariant)
 
 
@@ -249,9 +190,8 @@ class BergmanField:
 
 def bergman(pot: Potential, k: int, md: MetricData | None = None, form: HermForm | None = None) -> BergmanField:
     """rho_k(phi) = e^{-k phi} * contraction of the base pairing with H^{-1}."""
-    grid = pot.grid
     form = hilb(pot, k, md=md) if form is None else form
-    basis = section_basis(grid, k)
+    basis = section_basis(pot.grid, k)
     dens = _inverse_contraction(form, basis)
     return BergmanField(values=dens * np.exp(-k * pot.values), degree=k)
 
@@ -349,7 +289,9 @@ def sigma_balanced_iterate(
             log.message = f"iteration left the Kahler cone at step {it}: {err}"
             return current, log
         form = hilb(current, k, md=md)
-        res = balanced_residual(current, k, lift=lift, md=md)
+        rho = bergman(current, k, md=md, form=form)
+        psi = psi_potential(lift, current, md=md)
+        res = float(np.max(np.abs(rho.values - k * psi.exp())))
         log.residuals.append(res)
         log.min_eigenvalues.append(form.min_eigenvalue())
         if track_energy:

@@ -139,6 +139,14 @@ def _svg_text(report: Report) -> str:
     return "\n".join(parts)
 
 
+# Report text by format name.
+FORMATS = {
+    "json": lambda report: report.to_json() + "\n",
+    "csv": _csv_text,
+    "svg": _svg_text,
+}
+
+
 def emit_report(report: Report, formats, out_dir) -> list[Path]:
     """Write the report in the requested formats; returns the file paths."""
     if isinstance(formats, str):
@@ -151,15 +159,10 @@ def emit_report(report: Report, formats, out_dir) -> list[Path]:
     paths = []
     stem = report.experiment.replace("/", "_")
     for fmt in formats:
-        path = out / f"{stem}.{fmt}"
-        if fmt == "json":
-            text = report.to_json() + "\n"
-        elif fmt == "csv":
-            text = _csv_text(report)
-        elif fmt == "svg":
-            text = _svg_text(report)
-        else:
+        if fmt not in FORMATS:
             raise ValueError(f"unknown report format {fmt!r}")
+        path = out / f"{stem}.{fmt}"
+        text = FORMATS[fmt](report)
         try:
             path.write_text(text)
         except OSError as err:

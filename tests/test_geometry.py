@@ -105,6 +105,14 @@ def test_custom_moment_profile_accepted_when_holomorphic(radial, flat):
     assert np.max(np.abs(theta - mu)) <= 1e-8
 
 
+def test_custom_moment_profile_on_full2d(grid2d):
+    # the moment profile is radial; the field comes back broadcast over the angle
+    mu = 3.0 * (grid2d.u - 0.5) / (2.0 * np.pi)
+    theta = holomorphy_potential(VectorFieldSpec(moment_values=mu), zero_potential(grid2d))
+    assert theta.shape == grid2d.shape
+    assert np.max(np.abs(theta - mu[:, None])) <= 1e-8
+
+
 def test_non_holomorphic_moment_rejected(radial, flat):
     with pytest.raises(KQuantError, match="holomorphic"):
         holomorphy_potential(VectorFieldSpec(moment_values=radial.u**2), flat)

@@ -43,6 +43,20 @@ def test_fit_power_law_excludes_nonpositive():
     assert fit.exponent > 0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fit_power_law_rejects_non_finite(bad):
+    with pytest.raises(KQuantError, match="non-finite"):
+        fit_power_law([(8, 1.0), (16, 0.5), (32, 0.25), (64, bad)])
+
+
+def test_bergman_expansion_with_overflowing_degree_does_not_pass():
+    # the k = 1024 density overflows to NaN on the default grid; a NaN in the
+    # series must fail the run rather than drop out of the fit
+    rep = run_experiment(ExperimentConfig("bergman-expansion", k_list=(128, 256, 512, 1024)))
+    assert not rep.passed
+    assert any("non-finite" in n for n in rep.notes)
+
+
 def test_fit_power_law_exact_floor_flag():
     fit = fit_power_law([(k, 1e-15) for k in (2, 4, 8)])
     assert fit.flag == "exact"
@@ -62,6 +76,31 @@ def test_config_validation():
         ExperimentConfig(experiment="bergman-expansion", resolution=4)
     with pytest.raises(KQuantError):
         ExperimentConfig(experiment="bergman-expansion", group="torus")
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"formats": ("json", "pdf")},
+        {"grid_mode": "spherical"},
+        {"grid_mode": "full2d", "n_theta": 4, "k_list": (2, 3, 4)},
+        {"n_theta": 7},
+        # section pairings of degree 64 alias on 32 or 64 angular nodes
+        {"grid_mode": "full2d", "resolution": 96, "n_theta": 32},
+        {"grid_mode": "full2d", "resolution": 96, "n_theta": 64, "k_list": (16, 32, 64)},
+    ],
+)
+def test_config_rejects_bad_grid_and_format(fields):
+    with pytest.raises(KQuantError):
+        ExperimentConfig(experiment="almost-balanced", **fields)
+
+
+def test_config_accepts_resolved_full2d_degrees():
+    cfg = ExperimentConfig(
+        "almost-balanced", grid_mode="full2d", resolution=96, n_theta=64, k_list=(16, 32, 48)
+    )
+    assert cfg.k_list == (16, 32, 48)
+    ExperimentConfig("almost-balanced", grid_mode="full2d", resolution=96, n_theta=64, k_list=(63,))
 
 
 def test_experiment_registry_complete():
@@ -197,6 +236,24 @@ def test_cli_config_file_and_overrides(tmp_path, capsys):
     )
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_cli_unknown_format_fails_before_running(tmp_path, capsys):
+    out = tmp_path / "reports"
+    rc = cli_main(["run", "--experiment", "minimization", "--format", "pdf", "--out", str(out)])
+    assert rc == 2
+    assert "pdf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_unknown_grid_mode_fails_before_running(tmp_path, capsys):
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text("grid_mode = spherical\n")
+    out = tmp_path / "reports"
+    rc = cli_main(["run", "--experiment", "minimization", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert "spherical" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_invalid_config_line(tmp_path):

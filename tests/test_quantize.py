@@ -26,7 +26,18 @@ from kquant import (
     rotation_field,
     zero_potential,
 )
-from kquant.quantize import _eigh_contraction, _inverse_contraction
+from kquant.quantize import _inverse_contraction
+
+
+def eigh_contraction(form: HermForm, basis) -> np.ndarray:
+    """Radial section density through an eigendecomposition orthonormalization."""
+    H = 0.5 * (form.entries + form.entries.conj().T)
+    vals, vecs = np.linalg.eigh(H)
+    if vals.min() <= 0.0:
+        raise NotPositiveDefiniteError("form is not positive definite")
+    C = vecs / np.sqrt(vals)[None, :]  # columns: H-orthonormal coefficients
+    Hinv = C @ C.conj().T
+    return basis.norms @ np.real(np.diag(Hinv))
 
 
 def beta_moment(j: int, k: int) -> float:
@@ -44,13 +55,6 @@ def test_section_basis_dimensions(radial):
 def test_degree_one_norms_sum_to_one(radial):
     basis = section_basis(radial, 1)
     assert np.max(np.abs(basis.norms.sum(axis=1) - 1.0)) <= 1e-14
-
-
-def test_pairing_at_origin(radial):
-    table = section_basis(radial, 4).pairing_at_origin()
-    expect = np.zeros((5, 5))
-    expect[0, 0] = 1.0
-    assert np.array_equal(table, expect)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 12])
@@ -102,7 +106,7 @@ def test_fs_factorization_independence(radial, grid2d, bump):
     H = hilb(bump, 10)
     basis = section_basis(radial, 10)
     d1 = _inverse_contraction(H, basis)
-    d2 = _eigh_contraction(H, basis)
+    d2 = eigh_contraction(H, basis)
     assert np.max(np.abs(d1 - d2)) / np.max(d1) <= 1e-12
 
 
@@ -209,6 +213,28 @@ def test_iteration_budget_exhaustion_flagged(radial, bump):
     assert not log.converged
     assert len(log.residuals) == 3
     assert "no convergence" in log.message
+
+
+def test_iteration_builds_one_gram_form_per_step(monkeypatch, bump):
+    import kquant.grids
+    import kquant.quantize
+
+    calls = {"hilb": 0, "interp_matrix": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(kquant.quantize, "hilb")
+    counted(kquant.grids, "interp_matrix")
+    out, log = sigma_balanced_iterate(bump, 8, max_iter=2, tol=0.0)
+    assert len(log.residuals) == 3
+    assert calls == {"hilb": 3, "interp_matrix": 0}
 
 
 def test_iteration_rejects_cone_exit_gracefully(radial):

@@ -1,0 +1,80 @@
+"""Source guards over src/kquant: only grids knows the kind of grid it holds,
+and no function reaches into another kquant module's private names."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "kquant"
+MODE_NAMES = {"mode", "grid_mode"}
+# load_potential checks a file header against the grid it is loaded onto.
+ALLOWED_MODE_COMPARISONS = {("geometry.py", "load_potential")}
+
+
+class _Scan(ast.NodeVisitor):
+    def __init__(self):
+        self.scope: list[str] = []
+        self.mode_comparisons: list[tuple[str, int]] = []
+        self.private_imports: list[tuple[str, str]] = []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Compare(self, node):
+        for side in (node.left, *node.comparators):
+            name = getattr(side, "attr", None) or getattr(side, "id", None)
+            if name in MODE_NAMES:
+                self.mode_comparisons.append((self.scope[-1] if self.scope else "<module>", node.lineno))
+                break
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        internal = node.level > 0 or (node.module or "").split(".")[0] == "kquant"
+        if self.scope and internal:
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    self.private_imports.append((self.scope[-1], alias.name))
+
+
+def scan(text: str) -> _Scan:
+    found = _Scan()
+    found.visit(ast.parse(text))
+    return found
+
+
+def modules():
+    return sorted(SRC.glob("*.py"))
+
+
+def test_guard_sees_both_patterns():
+    found = scan(
+        "def f(grid):\n"
+        "    from .quantize import _scaled_sections\n"
+        "    return grid.mode == 'radial'\n"
+    )
+    assert found.mode_comparisons == [("f", 3)]
+    assert found.private_imports == [("f", "_scaled_sections")]
+
+
+@pytest.mark.parametrize("path", modules(), ids=lambda p: p.name)
+def test_only_grids_compares_modes(path):
+    if path.name == "grids.py":
+        return
+    found = scan(path.read_text())
+    stray = [
+        (func, line)
+        for func, line in found.mode_comparisons
+        if (path.name, func) not in ALLOWED_MODE_COMPARISONS
+    ]
+    assert stray == [], f"{path.name} branches on the grid kind: {stray}"
+
+
+@pytest.mark.parametrize("path", modules(), ids=lambda p: p.name)
+def test_no_function_level_private_imports(path):
+    found = scan(path.read_text())
+    assert found.private_imports == [], f"{path.name}: {found.private_imports}"
