@@ -6,7 +6,7 @@
 
 Config files are flat key = value text; command line flags override file
 keys.  The exit code is 0 exactly when every verdict of every requested
-experiment passes.
+experiment passes, and 2 for a bad config or input file.
 """
 
 from __future__ import annotations
@@ -100,7 +100,11 @@ def main(argv=None) -> int:
         except (KQuantError, TypeError) as err:
             print(f"invalid config for {name}: {err}", file=sys.stderr)
             return 2
-        report = run_experiment(cfg)
+        try:
+            report = run_experiment(cfg)
+        except KQuantError as err:  # set-up errors, such as a bad potential file
+            print(f"invalid input for {name}: {err}", file=sys.stderr)
+            return 2
         paths = emit_report(report, list(cfg.formats), cfg.out_dir)
         status = "PASS" if report.passed else "FAIL"
         print(f"{status} {name}")

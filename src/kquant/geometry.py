@@ -23,12 +23,13 @@ differentiation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .grids import Full2DGrid, KQuantError, RadialGrid, build_grid
+from .grids import Full2DGrid, KQuantError, RadialGrid, build_grid, interp_matrix
 
 __all__ = [
     "SBAR",
@@ -172,7 +173,10 @@ def load_potential(path, grid=None) -> Potential:
     phi = sum c_m u^m, or raw node samples with a grid header (mode,
     resolution, optional n_theta, then a ``values:`` line).
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as err:
+        raise KQuantError(f"cannot read potential file: {err}") from None
     fields = {}
     for line in text.splitlines():
         line = line.strip()
@@ -180,21 +184,28 @@ def load_potential(path, grid=None) -> Potential:
             continue
         key, _, rest = line.partition(":")
         fields[key.strip().lower()] = rest.strip()
-    if "coeffs" in fields:
-        if grid is None:
-            raise KQuantError("coefficient potentials need a target grid")
-        return potential_from_radial_coeffs(grid, [float(t) for t in fields["coeffs"].split()])
     try:
+        if "coeffs" in fields:
+            if grid is None:
+                raise KQuantError("coefficient potentials need a target grid")
+            return potential_from_radial_coeffs(grid, [float(t) for t in fields["coeffs"].split()])
         mode = fields["mode"]
         resolution = int(fields["resolution"])
         raw = np.array([float(t) for t in fields["values"].split()])
+        if grid is None:
+            grid = build_grid(mode, resolution, int(fields.get("n_theta", 64)))
+    except KQuantError:
+        raise
     except KeyError as missing:
         raise KQuantError(f"potential file missing field {missing}") from None
-    if grid is None:
-        n_theta = int(fields.get("n_theta", 64))
-        grid = build_grid(mode, resolution, n_theta)
+    except ValueError as err:
+        raise KQuantError(f"potential file has a non-numeric entry: {err}") from None
     if grid.mode != mode or grid.resolution != resolution:
         raise KQuantError("potential file header does not match the supplied grid")
+    if raw.size != np.prod(grid.shape):
+        raise KQuantError(
+            f"potential file has {raw.size} values; grid shape {grid.shape} needs {np.prod(grid.shape)}"
+        )
     return Potential(grid, raw.reshape(grid.shape))
 
 
@@ -377,7 +388,9 @@ class AutomorphismLift:
     The section action on the monomial basis is diag(scale^j); composing
     lifts multiplies the scales, so the one-parameter group law is exact.
     ``base_potential`` is the closed-form c with sigma^* omega_0 = omega_0
-    + (i/2pi) ddbar c.
+    + (i/2pi) ddbar c.  ``compose_potential`` keeps the interpolation matrix
+    of the last grid it composed on, so a path of potentials on one grid
+    builds it once.
     """
 
     scale: complex
@@ -413,12 +426,22 @@ class AutomorphismLift:
         lam2 = abs(self.scale) ** 2
         return grid.broadcast(np.log1p((lam2 - 1.0) * grid.u))
 
+    @cached_property
+    def _pullback(self) -> list:
+        """[grid, matrix]: the interpolation onto the pulled-back radii of the
+        last grid composed on.  One slot, so a lift holds one matrix at most."""
+        return [None, None]
+
     def compose_potential(self, pot: Potential) -> np.ndarray:
-        """Values of phi(sigma(z)) at the grid nodes: sample at |sigma(z)|, then rotate."""
+        """Values of phi(sigma(z)) at the grid nodes: interpolate at |sigma(z)|, then rotate."""
         if self.is_identity:
             return pot.values
         grid = pot.grid
-        return grid.rotate(grid.sample(pot.values, self.pulled_u(grid)), float(np.angle(self.scale)))
+        slot = self._pullback
+        if slot[0] is not grid:
+            rg = grid.radial
+            slot[:] = grid, interp_matrix(rg.u, rg.bary, self.pulled_u(rg))
+        return grid.rotate(slot[1] @ pot.values, float(np.angle(self.scale)))
 
     def pullback_potential(self, pot: Potential, normalize: bool = False) -> Potential:
         """Potential of sigma^* omega_phi: c_sigma + phi o sigma."""

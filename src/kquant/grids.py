@@ -13,9 +13,9 @@ integrals accurate); invariant and even-frequency fields resolve to
 roundoff.
 
 The two grid classes share one set of methods (field shape, broadcasting of
-radial profiles, base Laplacian and gradient pairing, sampling and rotation,
-section tables), so this module is the only one that knows which kind of
-grid it holds.
+radial profiles, base Laplacian and gradient pairing, rotation, section
+tables), so this module is the only one that knows which kind of grid it
+holds.
 """
 
 from __future__ import annotations
@@ -81,16 +81,18 @@ def diff_matrix(x: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
 
 
 def interp_matrix(x: np.ndarray, w: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Barycentric interpolation matrix sending values at x to values at targets."""
-    P = np.zeros((len(targets), len(x)))
-    for i, t in enumerate(targets):
-        d = t - x
-        hit = np.nonzero(d == 0.0)[0]
-        if hit.size:
-            P[i, hit[0]] = 1.0
-            continue
-        c = w / d
-        P[i, :] = c / c.sum()
+    """Barycentric interpolation matrix sending values at x to values at targets.
+
+    A target that coincides with a node gets the unit row of its first hit.
+    """
+    P = np.subtract.outer(targets, x)
+    hit = P == 0.0
+    P[hit] = 1.0
+    np.divide(w, P, out=P)
+    P /= P.sum(axis=1, keepdims=True)
+    rows = np.nonzero(hit.any(axis=1))[0]
+    P[rows] = 0.0
+    P[rows, hit[rows].argmax(axis=1)] = 1.0
     return P
 
 
@@ -165,10 +167,6 @@ class RadialGrid:
     def base_inner_grad(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """(d_z f, d_z g)/A_0 = u (1-u) f_u g_u for radial real fields."""
         return self.u * (1.0 - self.u) * (self.D @ f) * (self.D @ g)
-
-    def sample(self, values: np.ndarray, u_targets: np.ndarray) -> np.ndarray:
-        """Evaluate a nodal field at off-grid u points (barycentric)."""
-        return interp_matrix(self.u, self.bary, u_targets) @ values
 
     def rotate(self, values: np.ndarray, angle: float) -> np.ndarray:
         """Rotation of the chart by ``angle``; radial fields do not move."""
@@ -285,9 +283,6 @@ class Full2DGrid:
         fr, gr = self.d_drho(f), self.d_drho(g)
         ft, gt = self.d_dtheta(f), self.d_dtheta(g)
         return (rho * fr * gr + ft * gt / (4.0 * rho)) / self._a0
-
-    def sample(self, values: np.ndarray, u_targets: np.ndarray) -> np.ndarray:
-        return self.radial.sample(values, u_targets)
 
     def rotate(self, values: np.ndarray, angle: float) -> np.ndarray:
         """Values of f(e^{i angle} z), through the angular spectrum."""

@@ -281,8 +281,8 @@ def _three_path_defect(ctx: _Ctx, k: int, twisted: bool) -> float:
     i_lin = F.i_sigma_k(pot, k, lift, path=F.linear_path(pot))
     i_rep = F.i_sigma_k(pot, k, lift, path=F.reparam_path(pot, power=2))
     i_two = F.i_sigma_k(pot, k, lift, path=F.two_leg_path(mid, pot))
-    ref = max(abs(i_lin), 1e-300)
-    return max(abs(i_rep - i_lin), abs(i_two - i_lin), abs(i_two - i_rep)) / ref
+    ref = np.max([abs(i_lin), 1e-300])
+    return float(np.max([abs(i_rep - i_lin), abs(i_two - i_lin), abs(i_two - i_rep)]) / ref)
 
 
 def _exp_path_independence(ctx: _Ctx) -> Report:
@@ -298,7 +298,7 @@ def _exp_path_independence(ctx: _Ctx) -> Report:
         Series("three-path defect (gradient twist)", ks_tw, tw_vals, fit_tw),
     ]
     tol = cfg.tol("path_independence_rel")
-    worst = max(base_vals)
+    worst = float(np.max(base_vals))
     verdicts = [Verdict("path independence", worst, tol, worst <= tol)]
     rep = Report("path-independence", series, verdicts, ctx.environment())
     rep.notes.append(
@@ -327,7 +327,7 @@ def _exp_hessian(ctx: _Ctx) -> Report:
                 ivals = [F.i_sigma_k(path.phi(s0 + d), k, lift) for d in (-h, 0.0, h)]
                 fd = (ivals[0] - 2.0 * ivals[1] + ivals[2]) / h**2
                 rels.append(abs(formula - fd) / abs(fd))
-            rels_by[(twisted, k)] = max(rels)
+            rels_by[(twisted, k)] = float(np.max(rels))
     series = [
         Series(
             f"max rel err ({'gradient twist' if tw else 'identity twist'})",
@@ -338,7 +338,7 @@ def _exp_hessian(ctx: _Ctx) -> Report:
         for tw in (False, True)
     ]
     tol = cfg.tol("hessian_rel")
-    worst = max(rels_by.values())
+    worst = float(np.max(list(rels_by.values())))
     verdicts = [Verdict("second-derivative formula", worst, tol, worst <= tol)]
     return Report("hessian-check", series, verdicts, ctx.environment())
 
@@ -359,7 +359,7 @@ def _exp_z_convexity(ctx: _Ctx) -> Report:
                     Q.HermForm(np.diag(d1).astype(complex), k),
                 )
                 vals.append(F.z_second_derivative_fd(geo, ctx.grid, lift, s=0.5))
-            records[(twisted, k)] = min(vals)
+            records[(twisted, k)] = float(np.min(vals))
     series = [
         Series(
             f"min FD second derivative ({'gradient twist' if tw else 'identity twist'})",
@@ -370,7 +370,7 @@ def _exp_z_convexity(ctx: _Ctx) -> Report:
         for tw in (False, True)
     ]
     floor = cfg.tol("z_convexity_floor")
-    worst = min(records.values())
+    worst = float(np.min(list(records.values())))
     verdicts = [Verdict("geodesic convexity", worst, floor, worst >= floor, ">=")]
     return Report("z-convexity", series, verdicts, ctx.environment())
 
@@ -385,7 +385,7 @@ def _exp_concavity(ctx: _Ctx) -> Report:
         for k in cfg.k_list:
             lift = ctx.lift(k, twisted)
             path = F.bergman_path(ctx.pot, k)
-            vals.append(max(F.i_sigma_hessian(path, s, k, lift) for s in (0.0, 0.5, 1.0)))
+            vals.append(float(np.max([F.i_sigma_hessian(path, s, k, lift) for s in (0.0, 0.5, 1.0)])))
             ks.append(k)
         ok = [v <= level for v in vals]
         k0 = next((k for k, good in zip(ks, ok) if good and all(ok[ks.index(k):])), None)
@@ -480,7 +480,7 @@ def _exp_almost_balanced(ctx: _Ctx) -> Report:
     cfg = ctx.cfg
     ref = G.zero_potential(ctx.grid)
     series, verdicts = [], []
-    chain_worst = math.inf
+    chain = []
     for twisted in (False, True):
         ks, fvals, bounds = [], [], []
         for k in cfg.k_list:
@@ -490,7 +490,7 @@ def _exp_almost_balanced(ctx: _Ctx) -> Report:
                 F.z_sigma_k(Q.hilb(ctx.pot, k), ctx.grid, lift)
                 - F.z_sigma_k(Q.hilb(ref, k), ctx.grid, lift)
             ) / k
-            chain_worst = min(chain_worst, gap - fp / k)
+            chain.append(gap - fp / k)
             ks.append(k)
             fvals.append(abs(fp) / k)
             bounds.append(bound)
@@ -505,6 +505,7 @@ def _exp_almost_balanced(ctx: _Ctx) -> Report:
                 verdicts.append(
                     Verdict("slope decay", fit.exponent, 0.9, fit.exponent >= 0.9, ">=")
                 )
+    chain_worst = float(np.min(chain))
     verdicts.append(
         Verdict("convexity chain inequality", chain_worst, -cfg.tol("chain_slack"), chain_worst >= -cfg.tol("chain_slack"), ">=")
     )
@@ -530,7 +531,7 @@ def _exp_minimization(ctx: _Ctx) -> Report:
             pot = ctx.seeded_potential(rng, 0.05)
             diffs.append(F.modified_k_energy(pot, grp))
         series.append(Series(f"energy gap ({name} group)", list(range(len(diffs))), diffs, None))
-        worst = min(diffs)
+        worst = float(np.min(diffs))
         verdicts.append(Verdict(f"minimum gap ({name})", worst, floor, worst >= floor, ">="))
     return Report("minimization", series, verdicts, ctx.environment())
 

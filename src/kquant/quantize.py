@@ -123,18 +123,25 @@ def save_herm_form(path, form: HermForm) -> None:
 
 
 def load_herm_form(path) -> HermForm:
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines[0].lower().startswith("degree:"):
+    try:
+        lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
+    except OSError as err:
+        raise KQuantError(f"cannot read herm form file: {err}") from None
+    if not lines or not lines[0].lower().startswith("degree:"):
         raise KQuantError("herm form file must start with a degree header")
-    k = int(lines[0].split(":")[1])
+    try:
+        k = int(lines[0].split(":")[1])
+        rows = [[float(t) for t in ln.split()] for ln in lines[1:]]
+    except ValueError as err:
+        raise KQuantError(f"herm form file has a non-numeric entry: {err}") from None
     n = sections_dim(k)
-    if len(lines) != n + 1:
-        raise KQuantError(f"expected {n} matrix rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        toks = [float(t) for t in ln.split()]
-        rows.append([complex(toks[2 * i], toks[2 * i + 1]) for i in range(n)])
-    return HermForm(entries=np.array(rows, dtype=complex), degree=k)
+    if len(rows) != n:
+        raise KQuantError(f"expected {n} matrix rows, found {len(rows)}")
+    for i, row in enumerate(rows):
+        if len(row) != 2 * n:
+            raise KQuantError(f"matrix row {i} has {len(row)} numbers, expected {2 * n}")
+    # each row holds n (real, imaginary) pairs, the memory layout of complex128
+    return HermForm(entries=np.array(rows).view(complex), degree=k)
 
 
 # ---------------------------------------------------------------------------

@@ -35,11 +35,16 @@ class Series:
 
 @dataclass
 class Verdict:
+    """One acceptance check; a non-finite value never passes."""
+
     criterion: str
     value: float
     threshold: float
     passed: bool
     comparison: str = "<="  # how value relates to threshold when passing
+
+    def __post_init__(self):
+        self.passed = bool(self.passed) and math.isfinite(self.value)
 
 
 @dataclass

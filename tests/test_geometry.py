@@ -8,6 +8,7 @@ from kquant import (
     NonKahlerError,
     VectorFieldSpec,
     holomorphy_potential,
+    i_sigma_k,
     identity_lift,
     load_potential,
     metric_data,
@@ -16,10 +17,12 @@ from kquant import (
     rotation_field,
     save_potential,
     sections_dim,
+    sigma_balanced_iterate,
     sigma_lift,
     zero_potential,
 )
 from kquant.geometry import TWIST_RATE_DEFAULT
+from kquant.grids import interp_matrix
 
 
 def test_flat_scalar_curvature_exact(flat):
@@ -188,6 +191,81 @@ def test_pullback_composition_accuracy(radial, bump):
     assert np.max(np.abs(composed - exact)) <= 1e-10
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """Count the interpolation builds made under the name the lift calls."""
+    import kquant.geometry
+
+    calls = []
+    real = kquant.geometry.interp_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kquant.geometry, "interp_matrix", counted)
+    return calls
+
+
+def test_twisted_linear_path_builds_pullback_once(monkeypatch, builds, bump):
+    composed = []
+    real = AutomorphismLift.compose_potential
+
+    def counted(self, pot):
+        composed.append(pot)
+        return real(self, pot)
+
+    monkeypatch.setattr(AutomorphismLift, "compose_potential", counted)
+    lift = sigma_lift(rotation_field(1.0), 8)
+    i_sigma_k(bump, 8, lift)
+    assert len(composed) == 32
+    assert len(builds) == 1
+
+
+def test_twisted_iteration_builds_pullback_once_per_lift(builds, bump):
+    # sigma composes for psi at each of the four steps, sigma^-1 for each pullback
+    lift = sigma_lift(rotation_field(1.0), 8)
+    _, log = sigma_balanced_iterate(bump, 8, lift=lift, max_iter=3, tol=0.0)
+    assert len(log.residuals) == 4
+    assert len(builds) == 2
+
+
+def test_lift_builds_again_on_another_grid(builds, radial, radial_small):
+    lift = AutomorphismLift(scale=1.1, degree=4)
+    on_radial = potential_from_radial_coeffs(radial, [0.05])
+    on_small = potential_from_radial_coeffs(radial_small, [0.05])
+    lift.compose_potential(on_radial)
+    lift.compose_potential(on_radial)
+    assert len(builds) == 1
+    lift.compose_potential(on_small)
+    assert len(builds) == 2
+    lift.compose_potential(on_radial)  # one slot: the first grid was dropped
+    assert len(builds) == 3
+
+
+@pytest.mark.parametrize("grid_name", ["radial", "grid2d"])
+def test_cached_pullback_equals_fresh_build(request, grid_name):
+    grid = request.getfixturevalue(grid_name)
+    pot = potential_from_radial_coeffs(grid, [0.05, -0.07])
+    lift = AutomorphismLift(scale=1.3, degree=4)
+    fresh = interp_matrix(grid.radial.u, grid.radial.bary, lift.pulled_u(grid)) @ pot.values
+    assert np.array_equal(lift.compose_potential(pot), fresh)
+    assert np.array_equal(lift.compose_potential(pot), fresh)
+
+
+@pytest.mark.parametrize("grid_name", ["radial", "grid2d"])
+def test_lift_interpolates_then_rotates(request, grid_name):
+    grid = request.getfixturevalue(grid_name)
+    lam = np.sqrt(1.7)
+    pot = potential_from_values(grid, grid.broadcast(grid.u**2))
+    u_t = AutomorphismLift(scale=lam, degree=4).pulled_u(grid)
+    dilated = AutomorphismLift(scale=lam, degree=4).compose_potential(pot)
+    turned = AutomorphismLift(scale=lam * np.exp(0.7j), degree=4).compose_potential(pot)
+    assert turned.shape == grid.shape
+    assert np.max(np.abs(turned - dilated)) <= 1e-13
+    assert np.max(np.abs(grid.radial_part(turned) - u_t**2)) <= 1e-12
+
+
 def test_sections_dim():
     assert sections_dim(1) == 2
     assert sections_dim(3) == 4
@@ -216,6 +294,28 @@ def test_potential_file_header_mismatch(tmp_path, radial):
     path.write_text("mode: radial\nresolution: 99\nvalues: " + " ".join(["0"] * 99) + "\n")
     with pytest.raises(KQuantError):
         load_potential(path, radial)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "mode: radial\nresolution: 16\nvalues: 0 0 0\n",  # wrong value count
+        "mode: radial\nresolution: 16\nvalues: " + " ".join(["0"] * 15) + " x\n",
+        "mode: radial\nresolution: sixteen\nvalues: 0\n",
+        "coeffs: 0.01 abc\n",
+    ],
+    ids=["value-count", "non-numeric-value", "non-numeric-resolution", "non-numeric-coeff"],
+)
+def test_potential_file_rejects_malformed(tmp_path, radial, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(KQuantError):
+        load_potential(path, radial if text.startswith("coeffs") else None)
+
+
+def test_potential_file_missing(tmp_path):
+    with pytest.raises(KQuantError, match="cannot read"):
+        load_potential(tmp_path / "absent.txt")
 
 
 def test_radial_mode_values_depend_on_radius_only(grid2d):

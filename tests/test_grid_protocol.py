@@ -51,17 +51,6 @@ def test_base_laplace_and_pairing_of_u_squared(grid):
     assert np.max(np.abs(laps[0] - laps[1])) <= 1e-7
 
 
-def test_sample_then_rotate(grid):
-    lam2 = 1.7
-    u_t = lam2 * grid.u / (1.0 - grid.u + lam2 * grid.u)
-    for g in (grid, twin(grid)):
-        sampled = g.sample(g.broadcast(grid.u**2), u_t)
-        assert sampled.shape == g.shape
-        rotated = g.rotate(sampled, 0.7)
-        assert np.max(np.abs(rotated - sampled)) <= 1e-13
-        assert np.max(np.abs(g.radial_part(rotated) - u_t**2)) <= 1e-12
-
-
 @pytest.mark.parametrize("k", [1, 6, 12])
 def test_round_metric_section_densities_sum_to_dimension(grid, k):
     densities = []

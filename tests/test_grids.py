@@ -76,6 +76,31 @@ def test_barycentric_interpolation():
     assert np.max(np.abs(P @ f - exact)) < 1e-12
 
 
+def loop_interp_matrix(x, w, targets):
+    """Reference barycentric interpolation matrix, built one target row at a time."""
+    P = np.zeros((len(targets), len(x)))
+    for i, t in enumerate(targets):
+        d = t - x
+        hit = np.nonzero(d == 0.0)[0]
+        if hit.size:
+            P[i, hit[0]] = 1.0
+            continue
+        c = w / d
+        P[i, :] = c / c.sum()
+    return P
+
+
+@pytest.mark.parametrize("n", [16, 96, 512])
+def test_interp_matrix_matches_row_loop(n):
+    u, _ = gauss_legendre_01(n)
+    w = barycentric_weights(u)
+    lam2 = 1.7
+    targets = lam2 * u / (1.0 - u + lam2 * u)
+    targets[::5] = u[::5]  # exact node hits among off-node points
+    targets = np.concatenate([targets, u[[0, -1]], [0.0, 1.0]])
+    assert np.array_equal(interp_matrix(u, w, targets), loop_interp_matrix(u, w, targets))
+
+
 def test_interp_hits_nodes_exactly():
     u, _ = gauss_legendre_01(32)
     w = barycentric_weights(u)

@@ -281,3 +281,39 @@ def test_experiment_abort_becomes_failing_verdict():
     rep = run_experiment(cfg)
     assert not rep.passed
     assert any("aborted" in n for n in rep.notes)
+
+
+@pytest.mark.parametrize("text", ["mode: radial\nresolution: 16\nvalues: 0 0 0\n", None], ids=["value-count", "missing"])
+def test_cli_bad_potential_file_exits_2(tmp_path, capsys, text):
+    pot = tmp_path / "pot.txt"
+    if text is not None:
+        pot.write_text(text)
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text(f"potential = {pot}\n")
+    out = tmp_path / "reports"
+    rc = cli_main(["run", "--experiment", "minimization", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert "invalid input" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_verdict_on_non_finite_value_fails(value):
+    assert not Verdict("check", value, 1.0, True).passed
+    assert Verdict("check", 0.5, 1.0, True).passed
+
+
+def test_minimization_with_one_nan_gap_fails(monkeypatch):
+    import kquant.lab
+
+    calls = []
+
+    def gap(pot, group):
+        calls.append(pot)
+        return math.nan if len(calls) == 2 else 1.0
+
+    monkeypatch.setattr(kquant.lab.F, "modified_k_energy", gap)
+    rep = run_experiment(ExperimentConfig(experiment="minimization", resolution=64))
+    assert len(calls) == 100
+    assert [math.isnan(v.value) for v in rep.verdicts] == [True, False]
+    assert [v.passed for v in rep.verdicts] == [False, True]

@@ -216,7 +216,7 @@ def test_iteration_budget_exhaustion_flagged(radial, bump):
 
 
 def test_iteration_builds_one_gram_form_per_step(monkeypatch, bump):
-    import kquant.grids
+    import kquant.geometry
     import kquant.quantize
 
     calls = {"hilb": 0, "interp_matrix": 0}
@@ -231,7 +231,7 @@ def test_iteration_builds_one_gram_form_per_step(monkeypatch, bump):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(kquant.quantize, "hilb")
-    counted(kquant.grids, "interp_matrix")
+    counted(kquant.geometry, "interp_matrix")
     out, log = sigma_balanced_iterate(bump, 8, max_iter=2, tol=0.0)
     assert len(log.residuals) == 3
     assert calls == {"hilb": 3, "interp_matrix": 0}
@@ -266,6 +266,18 @@ def test_herm_form_io_roundtrip(tmp_path, radial, bump):
 def test_herm_form_io_rejects_garbled(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("degree: 2\n1 0 0 0 0 0\n")
+    with pytest.raises(KQuantError):
+        load_herm_form(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["degree: 1\n1 0 0 0\n0 0 1\n", "", "degree: one\n1 0\n", "degree: 1\n1 0 0 0\n0 0 x 0\n"],
+    ids=["short-row", "empty", "bad-degree", "non-numeric"],
+)
+def test_herm_form_io_rejects_malformed(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
     with pytest.raises(KQuantError):
         load_herm_form(path)
 
