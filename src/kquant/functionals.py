@@ -21,10 +21,11 @@ away).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .geometry import (
     AutomorphismLift,
@@ -80,6 +81,8 @@ __all__ = [
 ]
 
 S_QUAD_NODES = 32
+# Gauss-Legendre rule on [0, 1] shared by every path integral.
+S_NODES, S_WEIGHTS = gauss_legendre_01(S_QUAD_NODES)
 
 
 # ---------------------------------------------------------------------------
@@ -88,98 +91,62 @@ S_QUAD_NODES = 32
 
 @dataclass(frozen=True)
 class PathInPotentials:
-    """A parameterized family s -> phi_s on [0, 1] with s-derivatives.
+    """The path s -> phi_s = sum_i c_i(s) P_i on [0, 1].
 
-    ``phi``/``dphi``/``d2phi`` return the potential and its first and second
-    s-derivative fields at a parameter value; the quadrature rule is used by
-    the path integrals.  Legs of piecewise paths carry their own rules.
+    ``terms`` pairs each potential P_i with the coefficients of the
+    polynomial c_i in ascending powers of s.  ``phi`` sums the terms as
+    potentials, so the path keeps an exact profile exactly when every P_i
+    carries one; ``dphi``/``d2phi`` return the s-derivative fields.
     """
 
-    phi: Callable[[float], Potential]
-    dphi: Callable[[float], np.ndarray]
-    d2phi: Callable[[float], np.ndarray]
-    s_nodes: np.ndarray
-    s_weights: np.ndarray
+    terms: tuple[tuple[Potential, tuple[float, ...]], ...]
 
-    def endpoints(self) -> tuple[Potential, Potential]:
-        return self.phi(0.0), self.phi(1.0)
+    def phi(self, s: float) -> Potential:
+        (first, c), *rest = self.terms
+        pot = first.scaled(P.polyval(s, c))
+        for term, c in rest:
+            pot = pot.combine(term, 1.0, P.polyval(s, c))
+        return pot
 
+    def _derivative(self, s: float, m: int) -> np.ndarray:
+        return sum(P.polyval(s, P.polyder(c, m)) * term.values for term, c in self.terms)
 
-def _rule(n_s: int) -> tuple[np.ndarray, np.ndarray]:
-    return gauss_legendre_01(n_s)
+    def dphi(self, s: float) -> np.ndarray:
+        return self._derivative(s, 1)
 
-
-def linear_path(pot: Potential, n_s: int = S_QUAD_NODES) -> PathInPotentials:
-    s, w = _rule(n_s)
-    zero = np.zeros_like(pot.values)
-    return PathInPotentials(
-        phi=lambda t: pot.scaled(t),
-        dphi=lambda t: pot.values,
-        d2phi=lambda t: zero,
-        s_nodes=s,
-        s_weights=w,
-    )
+    def d2phi(self, s: float) -> np.ndarray:
+        return self._derivative(s, 2)
 
 
-def reparam_path(pot: Potential, power: int = 2, n_s: int = S_QUAD_NODES) -> PathInPotentials:
+def linear_path(pot: Potential) -> PathInPotentials:
+    return PathInPotentials(((pot, (0, 1)),))
+
+
+def reparam_path(pot: Potential, power: int = 2) -> PathInPotentials:
     """The linear path traversed as s -> s^power; same curve, same integral."""
-    s, w = _rule(n_s)
-    return PathInPotentials(
-        phi=lambda t: pot.scaled(t**power),
-        dphi=lambda t: power * t ** (power - 1) * pot.values,
-        d2phi=lambda t: power * (power - 1) * t ** max(power - 2, 0) * pot.values,
-        s_nodes=s,
-        s_weights=w,
-    )
+    return PathInPotentials(((pot, (0,) * power + (1,)),))
 
 
-def segment_path(start: Potential, end: Potential, n_s: int = S_QUAD_NODES) -> PathInPotentials:
-    s, w = _rule(n_s)
-    diff = end.values - start.values
-    zero = np.zeros_like(diff)
-    return PathInPotentials(
-        phi=lambda t: start.combine(end, 1.0 - t, t),
-        dphi=lambda t: diff,
-        d2phi=lambda t: zero,
-        s_nodes=s,
-        s_weights=w,
-    )
+def segment_path(start: Potential, end: Potential) -> PathInPotentials:
+    return PathInPotentials(((start, (1, -1)), (end, (0, 1))))
 
 
-def two_leg_path(mid: Potential, end: Potential, n_s: int = S_QUAD_NODES) -> list[PathInPotentials]:
+def two_leg_path(mid: Potential, end: Potential) -> list[PathInPotentials]:
     """Piecewise path 0 -> mid -> end, as two straight legs."""
-    start = zero_potential(mid.grid)
-    return [segment_path(start, mid, n_s), segment_path(mid, end, n_s)]
+    return [segment_path(zero_potential(mid.grid), mid), segment_path(mid, end)]
 
 
-def quadratic_path(
-    base: Potential, vel: np.ndarray, acc: np.ndarray, n_s: int = S_QUAD_NODES
-) -> PathInPotentials:
+def quadratic_path(base: Potential, vel: np.ndarray, acc: np.ndarray) -> PathInPotentials:
     """phi_s = base + s vel + s^2 acc; exercises both derivative slots."""
-    s, w = _rule(n_s)
-    inv = base.invariant
     return PathInPotentials(
-        phi=lambda t: Potential(base.grid, base.values + t * vel + t * t * acc, invariant=inv),
-        dphi=lambda t: vel + 2.0 * t * acc,
-        d2phi=lambda t: 2.0 * acc,
-        s_nodes=s,
-        s_weights=w,
+        ((base, (1,)), (base.with_values(vel), (0, 1)), (base.with_values(acc), (0, 0, 1)))
     )
 
 
-def bergman_path(pot: Potential, k: int, n_s: int = S_QUAD_NODES) -> PathInPotentials:
+def bergman_path(pot: Potential, k: int) -> PathInPotentials:
     """phi_s = phi + (s/k) log rho_k(phi): straight segment toward fs o hilb."""
-    rho = bergman(pot, k)
-    vel = np.log(rho.values) / k
-    s, w = _rule(n_s)
-    zero = np.zeros_like(vel)
-    return PathInPotentials(
-        phi=lambda t: pot.with_values(pot.values + t * vel),
-        dphi=lambda t: vel,
-        d2phi=lambda t: zero,
-        s_nodes=s,
-        s_weights=w,
-    )
+    vel = np.log(bergman(pot, k).values) / k
+    return PathInPotentials(((pot, (1,)), (pot.with_values(vel), (0, 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +221,7 @@ def delta_i_sigma(
 
 def _integrate_along(path: PathInPotentials, k: int, lift: AutomorphismLift) -> float:
     total = 0.0
-    for s, w in zip(path.s_nodes, path.s_weights):
+    for s, w in zip(S_NODES, S_WEIGHTS):
         total += w * delta_i_sigma(path.phi(s), path.dphi(s), k, lift)
     return float(total)
 

@@ -225,6 +225,20 @@ class _Ctx:
 # ---------------------------------------------------------------------------
 # Experiments
 
+TWISTS = {False: "identity twist", True: "gradient twist"}
+
+
+def _sweep(ctx: _Ctx, measure) -> dict:
+    """{twisted: [measure(k, lift, twisted) for k in k_list]} over both twists."""
+    return {tw: [measure(k, ctx.lift(k, tw), tw) for k in ctx.cfg.k_list] for tw in TWISTS}
+
+
+def _twist_series(ctx: _Ctx, title: str, twisted: bool, values, fit: bool = False) -> Series:
+    """The degree series of one twist; ``{}`` in the title names the twist."""
+    ks, values = list(ctx.cfg.k_list), list(values)
+    fitted = fit_power_law(list(zip(ks, values))) if fit else None
+    return Series(title.format(TWISTS[twisted]), ks, values, fitted)
+
 
 def _exp_bergman(ctx: _Ctx) -> Report:
     cfg = ctx.cfg
@@ -236,16 +250,13 @@ def _exp_bergman(ctx: _Ctx) -> Report:
         ks.append(k)
     fit = fit_power_law(list(zip(ks, vals)))
     series = [Series("sup|rho_k - k - S/2|", ks, vals, fit)]
-    verdicts = []
     if fit.flag == "exact":
-        verdicts.append(Verdict("expansion exact", 0.0, cfg.tol("exact_floor"), True))
+        verdicts = [Verdict("expansion exact", 0.0, cfg.tol("exact_floor"))]
     else:
-        verdicts.append(
-            Verdict("fit exponent", fit.exponent, cfg.tol("bergman_fit_p"), fit.exponent >= cfg.tol("bergman_fit_p"), ">=")
-        )
-        verdicts.append(
-            Verdict("fit residual", fit.residual, cfg.tol("bergman_fit_residual"), fit.residual <= cfg.tol("bergman_fit_residual"))
-        )
+        verdicts = [
+            Verdict("fit exponent", fit.exponent, cfg.tol("bergman_fit_p"), ">="),
+            Verdict("fit residual", fit.residual, cfg.tol("bergman_fit_residual")),
+        ]
     return Report("bergman-expansion", series, verdicts, ctx.environment())
 
 
@@ -265,8 +276,8 @@ def _exp_psi(ctx: _Ctx) -> Report:
     predicted = fit.predict(ks[-1])
     factor = vals[-1] / predicted if predicted > 0 else math.inf
     verdicts = [
-        Verdict("series decreasing", float(decreasing), 1.0, decreasing, ">="),
-        Verdict("final vs fit prediction", factor, cfg.tol("psi_final_factor"), factor <= cfg.tol("psi_final_factor")),
+        Verdict("series decreasing", float(decreasing), 1.0, ">="),
+        Verdict("final vs fit prediction", factor, cfg.tol("psi_final_factor")),
     ]
     rep = Report("psi-expansion", series, verdicts, ctx.environment())
     rep.notes.append(f"twist rate constant {ctx.rate:.6f} (expected -pi/2 = {-math.pi/2:.6f})")
@@ -297,9 +308,8 @@ def _exp_path_independence(ctx: _Ctx) -> Report:
         Series("three-path defect (reference twist)", ks, base_vals, None),
         Series("three-path defect (gradient twist)", ks_tw, tw_vals, fit_tw),
     ]
-    tol = cfg.tol("path_independence_rel")
     worst = float(np.max(base_vals))
-    verdicts = [Verdict("path independence", worst, tol, worst <= tol)]
+    verdicts = [Verdict("path independence", worst, cfg.tol("path_independence_rel"))]
     rep = Report("path-independence", series, verdicts, ctx.environment())
     rep.notes.append(
         "the gated functional uses the flow of the extremal field, which is "
@@ -311,99 +321,68 @@ def _exp_path_independence(ctx: _Ctx) -> Report:
 
 def _exp_hessian(ctx: _Ctx) -> Report:
     cfg = ctx.cfg
-    pot = ctx.pot
-    rels_by = {}
-    for twisted in (False, True):
-        for k in cfg.k_list:
-            lift = ctx.lift(k, twisted)
-            rng = np.random.default_rng([cfg.seed, k, int(twisted)])
-            rels = []
-            for _ in range(5):
-                vel = ctx.seeded_potential(rng, 0.04).values
-                acc = ctx.seeded_potential(rng, 0.03).values
-                path = F.quadratic_path(pot, vel, acc)
-                s0, h = 0.5, 0.02
-                formula = F.i_sigma_hessian(path, s0, k, lift)
-                ivals = [F.i_sigma_k(path.phi(s0 + d), k, lift) for d in (-h, 0.0, h)]
-                fd = (ivals[0] - 2.0 * ivals[1] + ivals[2]) / h**2
-                rels.append(abs(formula - fd) / abs(fd))
-            rels_by[(twisted, k)] = float(np.max(rels))
-    series = [
-        Series(
-            f"max rel err ({'gradient twist' if tw else 'identity twist'})",
-            [k for (t, k) in rels_by if t == tw],
-            [v for (t, k), v in rels_by.items() if t == tw],
-            None,
-        )
-        for tw in (False, True)
-    ]
-    tol = cfg.tol("hessian_rel")
-    worst = float(np.max(list(rels_by.values())))
-    verdicts = [Verdict("second-derivative formula", worst, tol, worst <= tol)]
+
+    def max_rel_err(k, lift, twisted):
+        rng = np.random.default_rng([cfg.seed, k, int(twisted)])
+        rels = []
+        for _ in range(5):
+            vel = ctx.seeded_potential(rng, 0.04).values
+            acc = ctx.seeded_potential(rng, 0.03).values
+            path = F.quadratic_path(ctx.pot, vel, acc)
+            s0, h = 0.5, 0.02
+            formula = F.i_sigma_hessian(path, s0, k, lift)
+            ivals = [F.i_sigma_k(path.phi(s0 + d), k, lift) for d in (-h, 0.0, h)]
+            fd = (ivals[0] - 2.0 * ivals[1] + ivals[2]) / h**2
+            rels.append(abs(formula - fd) / abs(fd))
+        return float(np.max(rels))
+
+    rels = _sweep(ctx, max_rel_err)
+    series = [_twist_series(ctx, "max rel err ({})", tw, vals) for tw, vals in rels.items()]
+    worst = float(np.max(rels[False] + rels[True]))
+    verdicts = [Verdict("second-derivative formula", worst, cfg.tol("hessian_rel"))]
     return Report("hessian-check", series, verdicts, ctx.environment())
 
 
 def _exp_z_convexity(ctx: _Ctx) -> Report:
     cfg = ctx.cfg
-    records = {}
-    for twisted in (False, True):
-        for k in cfg.k_list:
-            lift = ctx.lift(k, twisted)
-            rng = np.random.default_rng([cfg.seed, 77, k, int(twisted)])
-            vals = []
-            for _ in range(20):
-                d0 = np.exp(rng.uniform(-1.0, 1.0, k + 1))
-                d1 = np.exp(rng.uniform(-1.0, 1.0, k + 1))
-                geo = F.bk_geodesic(
-                    Q.HermForm(np.diag(d0).astype(complex), k),
-                    Q.HermForm(np.diag(d1).astype(complex), k),
-                )
-                vals.append(F.z_second_derivative_fd(geo, ctx.grid, lift, s=0.5))
-            records[(twisted, k)] = float(np.min(vals))
-    series = [
-        Series(
-            f"min FD second derivative ({'gradient twist' if tw else 'identity twist'})",
-            [k for (t, k) in records if t == tw],
-            [v for (t, k), v in records.items() if t == tw],
-            None,
-        )
-        for tw in (False, True)
-    ]
-    floor = cfg.tol("z_convexity_floor")
-    worst = float(np.min(list(records.values())))
-    verdicts = [Verdict("geodesic convexity", worst, floor, worst >= floor, ">=")]
+
+    def min_second_derivative(k, lift, twisted):
+        rng = np.random.default_rng([cfg.seed, 77, k, int(twisted)])
+        vals = []
+        for _ in range(20):
+            d0 = np.exp(rng.uniform(-1.0, 1.0, k + 1))
+            d1 = np.exp(rng.uniform(-1.0, 1.0, k + 1))
+            geo = F.bk_geodesic(
+                Q.HermForm(np.diag(d0).astype(complex), k),
+                Q.HermForm(np.diag(d1).astype(complex), k),
+            )
+            vals.append(F.z_second_derivative_fd(geo, ctx.grid, lift, s=0.5))
+        return float(np.min(vals))
+
+    mins = _sweep(ctx, min_second_derivative)
+    series = [_twist_series(ctx, "min FD second derivative ({})", tw, vals) for tw, vals in mins.items()]
+    worst = float(np.min(mins[False] + mins[True]))
+    verdicts = [Verdict("geodesic convexity", worst, cfg.tol("z_convexity_floor"), ">=")]
     return Report("z-convexity", series, verdicts, ctx.environment())
 
 
 def _exp_concavity(ctx: _Ctx) -> Report:
     cfg = ctx.cfg
     level = cfg.tol("concavity_level")
-    series = []
-    k0s = []
-    for twisted in (False, True):
-        ks, vals = [], []
-        for k in cfg.k_list:
-            lift = ctx.lift(k, twisted)
-            path = F.bergman_path(ctx.pot, k)
-            vals.append(float(np.max([F.i_sigma_hessian(path, s, k, lift) for s in (0.0, 0.5, 1.0)])))
-            ks.append(k)
+    ks = list(cfg.k_list)
+
+    def max_hessian(k, lift, twisted):
+        path = F.bergman_path(ctx.pot, k)
+        return float(np.max([F.i_sigma_hessian(path, s, k, lift) for s in (0.0, 0.5, 1.0)]))
+
+    maxima = _sweep(ctx, max_hessian)
+    series, k0s = [], []
+    for tw, vals in maxima.items():
         ok = [v <= level for v in vals]
-        k0 = next((k for k, good in zip(ks, ok) if good and all(ok[ks.index(k):])), None)
-        k0s.append(k0)
-        series.append(
-            Series(
-                f"max hessian along projection path ({'gradient twist' if twisted else 'identity twist'})",
-                ks,
-                vals,
-                None,
-            )
-        )
-    worst_k0 = max((k for k in k0s if k is not None), default=math.inf)
-    if any(k is None for k in k0s):
-        worst_k0 = math.inf
-    verdicts = [
-        Verdict("concavity threshold degree", float(worst_k0), float(cfg.tol("concavity_k0_max")), worst_k0 <= cfg.tol("concavity_k0_max"))
-    ]
+        k0s.append(next((k for k, good in zip(ks, ok) if good and all(ok[ks.index(k):])), None))
+        series.append(_twist_series(ctx, "max hessian along projection path ({})", tw, vals))
+    worst_k0 = math.inf if None in k0s else max(k0s)
+    verdicts = [Verdict("concavity threshold degree", float(worst_k0), float(cfg.tol("concavity_k0_max")))]
     rep = Report("i-concavity", series, verdicts, ctx.environment())
     rep.notes.append(f"concavity holds from degree {k0s} on (identity, gradient twist)")
     return rep
@@ -411,21 +390,20 @@ def _exp_concavity(ctx: _Ctx) -> Report:
 
 def _exp_compare(ctx: _Ctx) -> Report:
     cfg = ctx.cfg
-    series, verdicts = [], []
-    for twisted in (False, True):
-        ks, vals = [], []
-        for k in cfg.k_list:
-            lift = ctx.lift(k, twisted)
-            L = F.l_sigma_k(ctx.pot, k, lift)
-            Z = F.z_sigma_k(Q.hilb(ctx.pot, k), ctx.grid, lift)
-            vals.append(abs(L - Z) / k)
-            ks.append(k)
-        fit = fit_power_law(list(zip(ks, vals)))
-        label = "gradient twist" if twisted else "identity twist"
-        series.append(Series(f"|L - Z o hilb|/k ({label})", ks, vals, fit))
-        verdicts.append(
-            Verdict(f"fit exponent ({label})", fit.exponent, cfg.tol("compare_fit_p"), fit.exponent >= cfg.tol("compare_fit_p"), ">=")
-        )
+
+    def gap(k, lift, twisted):
+        L = F.l_sigma_k(ctx.pot, k, lift)
+        Z = F.z_sigma_k(Q.hilb(ctx.pot, k), ctx.grid, lift)
+        return abs(L - Z) / k
+
+    series = [
+        _twist_series(ctx, "|L - Z o hilb|/k ({})", tw, vals, fit=True)
+        for tw, vals in _sweep(ctx, gap).items()
+    ]
+    verdicts = [
+        Verdict(f"fit exponent ({TWISTS[tw]})", s.fit.exponent, cfg.tol("compare_fit_p"), ">=")
+        for tw, s in zip(TWISTS, series)
+    ]
     return Report("compare-LZ", series, verdicts, ctx.environment())
 
 
@@ -445,28 +423,22 @@ def _exp_quantize(ctx: _Ctx) -> Report:
     fam = _quantize_family(ctx)
     E_plain = np.array([F.mabuchi_energy(p) for p in fam])
     E_matched = E_plain + np.array([F.moment_energy(p, ctx.V) for p in fam])
-    series, verdicts = [], []
-    for twisted, targets, label in (
-        (True, E_matched, "gradient twist vs matched energy"),
-        (False, E_plain, "identity twist vs k-energy"),
-    ):
-        ks, vals = [], []
-        for k in cfg.k_list:
-            lift = ctx.lift(k, twisted)
-            lk = np.array([(2.0 / k) * F.l_sigma_k(p, k, lift) for p in fam])
-            ck = float(np.mean(targets - lk))
-            vals.append(float(np.max(np.abs(lk + ck - targets))))
-            ks.append(k)
-        fit = fit_power_law(list(zip(ks, vals)))
-        series.append(Series(f"max deviation ({label})", ks, vals, fit))
-        if twisted:
-            verdicts.append(
-                Verdict("fit exponent (twisted)", fit.exponent, cfg.tol("quantize_fit_p"), fit.exponent >= cfg.tol("quantize_fit_p"), ">=")
-            )
-        else:
-            decreasing = all(b < a for a, b in zip(vals, vals[1:]))
-            verdicts.append(Verdict("identity deviation decreasing", float(decreasing), 1.0, decreasing, ">="))
-    rep = Report("quantize-E", series, verdicts, ctx.environment())
+    targets = {False: E_plain, True: E_matched}
+
+    def max_deviation(k, lift, twisted):
+        lk = np.array([(2.0 / k) * F.l_sigma_k(p, k, lift) for p in fam])
+        ck = float(np.mean(targets[twisted] - lk))
+        return float(np.max(np.abs(lk + ck - targets[twisted])))
+
+    devs = _sweep(ctx, max_deviation)
+    twisted = _twist_series(ctx, "max deviation ({} vs matched energy)", True, devs[True], fit=True)
+    identity = _twist_series(ctx, "max deviation ({} vs k-energy)", False, devs[False], fit=True)
+    decreasing = all(b < a for a, b in zip(identity.values, identity.values[1:]))
+    verdicts = [
+        Verdict("fit exponent (twisted)", twisted.fit.exponent, cfg.tol("quantize_fit_p"), ">="),
+        Verdict("identity deviation decreasing", float(decreasing), 1.0, ">="),
+    ]
+    rep = Report("quantize-E", [twisted, identity], verdicts, ctx.environment())
     rep.notes.append(
         "with a twist the quantized energies converge to the k-energy plus the "
         "moment energy of the twist generator; the identity instance converges "
@@ -479,36 +451,28 @@ def _exp_quantize(ctx: _Ctx) -> Report:
 def _exp_almost_balanced(ctx: _Ctx) -> Report:
     cfg = ctx.cfg
     ref = G.zero_potential(ctx.grid)
-    series, verdicts = [], []
-    chain = []
-    for twisted in (False, True):
-        ks, fvals, bounds = [], [], []
-        for k in cfg.k_list:
-            lift = ctx.lift(k, twisted)
-            fp, bound = F.fk_prime(ctx.pot, ref, k, lift)
-            gap = (
-                F.z_sigma_k(Q.hilb(ctx.pot, k), ctx.grid, lift)
-                - F.z_sigma_k(Q.hilb(ref, k), ctx.grid, lift)
-            ) / k
-            chain.append(gap - fp / k)
-            ks.append(k)
-            fvals.append(abs(fp) / k)
-            bounds.append(bound)
-        fit = fit_power_law(list(zip(ks, fvals)))
-        label = "gradient twist" if twisted else "identity twist"
-        series.append(Series(f"|f'(0)|/k ({label})", ks, fvals, fit))
-        series.append(Series(f"max |lambda|/k ({label})", ks, bounds, None))
-        if not twisted:
-            if fit.flag == "exact":
-                verdicts.append(Verdict("slope vanishes (exact)", 0.0, cfg.tol("exact_floor"), True))
-            else:
-                verdicts.append(
-                    Verdict("slope decay", fit.exponent, 0.9, fit.exponent >= 0.9, ">=")
-                )
+
+    def slope_bound_chain(k, lift, twisted):
+        fp, bound = F.fk_prime(ctx.pot, ref, k, lift)
+        gap = (
+            F.z_sigma_k(Q.hilb(ctx.pot, k), ctx.grid, lift)
+            - F.z_sigma_k(Q.hilb(ref, k), ctx.grid, lift)
+        ) / k
+        return abs(fp) / k, bound, gap - fp / k
+
+    series, chain = [], []
+    for tw, rows in _sweep(ctx, slope_bound_chain).items():
+        slopes, bounds, chains = zip(*rows)
+        series.append(_twist_series(ctx, "|f'(0)|/k ({})", tw, slopes, fit=True))
+        series.append(_twist_series(ctx, "max |lambda|/k ({})", tw, bounds))
+        chain += chains
+    identity_fit = series[0].fit
+    if identity_fit.flag == "exact":
+        verdicts = [Verdict("slope vanishes (exact)", 0.0, cfg.tol("exact_floor"))]
+    else:
+        verdicts = [Verdict("slope decay", identity_fit.exponent, 0.9, ">=")]
     chain_worst = float(np.min(chain))
-    verdicts.append(
-        Verdict("convexity chain inequality", chain_worst, -cfg.tol("chain_slack"), chain_worst >= -cfg.tol("chain_slack"), ">=")
-    )
+    verdicts.append(Verdict("convexity chain inequality", chain_worst, -cfg.tol("chain_slack"), ">="))
     rep = Report("almost-balanced", series, verdicts, ctx.environment())
     rep.notes.append(
         "at the reference round potential the identity-twist slope vanishes "
@@ -531,8 +495,7 @@ def _exp_minimization(ctx: _Ctx) -> Report:
             pot = ctx.seeded_potential(rng, 0.05)
             diffs.append(F.modified_k_energy(pot, grp))
         series.append(Series(f"energy gap ({name} group)", list(range(len(diffs))), diffs, None))
-        worst = float(np.min(diffs))
-        verdicts.append(Verdict(f"minimum gap ({name})", worst, floor, worst >= floor, ">="))
+        verdicts.append(Verdict(f"minimum gap ({name})", float(np.min(diffs)), floor, ">="))
     return Report("minimization", series, verdicts, ctx.environment())
 
 
@@ -557,6 +520,6 @@ def run_experiment(config: ExperimentConfig) -> Report:
     try:
         return runner(ctx)
     except (G.KQuantError, Q.NotPositiveDefiniteError, FloatingPointError) as err:
-        rep = Report(config.experiment, [], [Verdict("completed", 0.0, 1.0, False, ">=")], ctx.environment())
+        rep = Report(config.experiment, [], [Verdict("completed", 0.0, 1.0, ">=")], ctx.environment())
         rep.notes.append(f"aborted: {err}")
         return rep

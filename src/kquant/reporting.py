@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -33,6 +34,10 @@ class Series:
     fit: FitResult | None = None
 
 
+# How a passing value relates to its threshold.
+COMPARISONS = {"<=": operator.le, ">=": operator.ge}
+
+
 @dataclass
 class Verdict:
     """One acceptance check; a non-finite value never passes."""
@@ -40,11 +45,12 @@ class Verdict:
     criterion: str
     value: float
     threshold: float
-    passed: bool
-    comparison: str = "<="  # how value relates to threshold when passing
+    comparison: str = "<="
+    passed: bool = field(init=False)
 
     def __post_init__(self):
-        self.passed = bool(self.passed) and math.isfinite(self.value)
+        holds = COMPARISONS[self.comparison](self.value, self.threshold)
+        self.passed = math.isfinite(self.value) and bool(holds)
 
 
 @dataclass
@@ -76,7 +82,8 @@ def report_from_json(text: str) -> Report:
         )
         for s in raw.get("series", [])
     ]
-    verdicts = [Verdict(**v) for v in raw.get("verdicts", [])]
+    # passed is worked out again from the value, never taken from the file
+    verdicts = [Verdict(**{k: x for k, x in v.items() if k != "passed"}) for v in raw.get("verdicts", [])]
     return Report(
         experiment=raw["experiment"],
         series=series,

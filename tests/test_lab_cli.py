@@ -122,12 +122,19 @@ def test_report_json_roundtrip(tmp_path):
     rep = Report(
         experiment="demo",
         series=[Series("s", [2, 4], [1.0, 0.5], fit_power_law([(2, 1.0), (4, 0.5), (8, 0.25)]))],
-        verdicts=[Verdict("check", 0.5, 1.0, True)],
+        verdicts=[Verdict("check", 0.5, 1.0)],
         environment={"resolution": 64},
         notes=["note"],
     )
     back = report_from_json(rep.to_json())
     assert back.to_json() == rep.to_json()
+
+
+def test_report_json_recomputes_passed():
+    raw = json.loads(Report(experiment="demo", verdicts=[Verdict("check", 2.0, 1.0)]).to_json())
+    raw["verdicts"][0]["passed"] = raw["passed"] = True
+    back = report_from_json(json.dumps(raw))
+    assert not back.verdicts[0].passed and not back.passed
 
 
 def test_emit_csv_header_and_svg_polylines(tmp_path):
@@ -137,7 +144,7 @@ def test_emit_csv_header_and_svg_polylines(tmp_path):
             Series("a", [2, 4, 8], [1.0, 0.5, 0.25], None),
             Series("b", [2, 4, 8], [2.0, 1.0, 0.5], None),
         ],
-        verdicts=[Verdict("check", 0.5, 1.0, True)],
+        verdicts=[Verdict("check", 0.5, 1.0)],
     )
     paths = emit_report(rep, ["csv", "json", "svg"], tmp_path)
     csv_text = (tmp_path / "demo.csv").read_text()
@@ -299,8 +306,8 @@ def test_cli_bad_potential_file_exits_2(tmp_path, capsys, text):
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_verdict_on_non_finite_value_fails(value):
-    assert not Verdict("check", value, 1.0, True).passed
-    assert Verdict("check", 0.5, 1.0, True).passed
+    assert not Verdict("check", value, 1.0).passed
+    assert Verdict("check", 0.5, 1.0).passed
 
 
 def test_minimization_with_one_nan_gap_fails(monkeypatch):
