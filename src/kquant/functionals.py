@@ -302,18 +302,19 @@ def calabi(pot: Potential, md: MetricData | None = None) -> float:
     return float(md.integrate((md.scalar - SBAR) ** 2))
 
 
-def _energy_primitive(pot: Potential, density_of: Callable[[Potential, MetricData], np.ndarray], n_t: int = S_QUAD_NODES) -> float:
+def _energy_primitive(pot: Potential, density_of: Callable[[Potential, MetricData], np.ndarray]) -> float:
     """Primitive at phi of the one-form eta -> int eta g(phi) d mu_phi.
 
     Evaluated along the straight segment from 0, which every one-form used
-    here integrates exactly (they are closed).
+    here integrates exactly (they are closed); its points keep the exact
+    profile of phi when it has one.
     """
-    t, w = gauss_legendre_01(n_t)
+    path = linear_path(pot)
     total = 0.0
-    for ti, wi in zip(t, w):
-        p = pot.with_values(ti * pot.values)
+    for s, w in zip(S_NODES, S_WEIGHTS):
+        p = path.phi(s)
         md = metric_data(p)
-        total += wi * md.integrate(pot.values * density_of(p, md))
+        total += w * md.integrate(path.dphi(s) * density_of(p, md))
     return float(total)
 
 

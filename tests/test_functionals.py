@@ -327,6 +327,20 @@ def test_energy_scaled_family_positive(radial, bump):
         assert mabuchi_energy(bump.scaled(t)) >= -1e-10
 
 
+def test_energy_primitive_keeps_exact_profile(monkeypatch, bump):
+    import kquant.functionals
+
+    seen = []
+
+    def spy(pot):
+        seen.append(pot.profile)
+        return metric_data(pot)
+
+    monkeypatch.setattr(kquant.functionals, "metric_data", spy)
+    mabuchi_energy(bump)
+    assert len(seen) == 32 and None not in seen
+
+
 # ---------------------------------------------------------------------------
 # Z variations and the slope formula
 
