@@ -79,10 +79,14 @@ def main(argv=None) -> int:
         return 0
 
     fields: dict = {}
-    if args.config:
-        fields.update(_coerce(_parse_config_file(args.config)))
-    if args.k:
-        fields["k_list"] = tuple(int(t) for t in args.k.split(","))
+    try:
+        if args.config:
+            fields.update(_coerce(_parse_config_file(args.config)))
+        if args.k:
+            fields["k_list"] = tuple(int(t) for t in args.k.split(","))
+    except (KQuantError, OSError, ValueError) as err:
+        print(f"invalid config: {err}", file=sys.stderr)
+        return 2
     if args.resolution is not None:
         fields["resolution"] = args.resolution
     if args.seed is not None:

@@ -263,11 +263,26 @@ def test_cli_unknown_grid_mode_fails_before_running(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_invalid_config_line(tmp_path):
+@pytest.mark.parametrize(
+    "text, flags, names",
+    [
+        ("resolution 128\n", [], "bad.cfg:1"),
+        ("resolution = abc\n", [], "'abc'"),
+        (None, [], "bad.cfg"),
+        ("", ["--k", "8,x"], "'x'"),
+    ],
+    ids=["no-equals", "non-numeric", "missing-file", "bad-k"],
+)
+def test_cli_invalid_config_line(tmp_path, capsys, text, flags, names):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("resolution 128\n")
-    with pytest.raises(KQuantError, match="bad.cfg:1"):
-        cli_main(["run", "--experiment", "bergman-expansion", "--config", str(cfg)])
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "reports"
+    argv = ["run", "--experiment", "bergman-expansion", "--config", str(cfg), "--out", str(out)]
+    assert cli_main(argv + flags) == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err and names in err
+    assert not out.exists()
 
 
 def test_console_script_installed():
