@@ -159,6 +159,34 @@ def test_gradient_check_gradient_twist(radial, bump):
     assert worst[16] <= worst[8] / 2.0
 
 
+def builder_paths(radial, bump):
+    """Each path builder's legs, with whether its points keep the exact profile."""
+    mid = potential_from_radial_coeffs(radial, [-0.02, 0.04, 0.015])
+    rng = np.random.default_rng(5)
+    vel, acc = (potential_from_radial_coeffs(radial, rng.uniform(-0.03, 0.03, 3)).values for _ in range(2))
+    return {
+        "linear": ([linear_path(bump)], True),
+        "reparam": ([reparam_path(bump, power=3)], True),
+        "segment": ([segment_path(mid, bump)], True),
+        "two-leg": (two_leg_path(mid, bump), True),
+        "quadratic": ([quadratic_path(bump, vel, acc)], False),
+        "bergman": ([bergman_path(bump, 16)], False),
+    }
+
+
+@pytest.mark.parametrize("name", ["linear", "reparam", "segment", "two-leg", "quadratic", "bergman"])
+def test_path_derivatives_and_profiles(radial, bump, name):
+    legs, keeps_profile = builder_paths(radial, bump)[name]
+    h = 1e-4
+    for path in legs:
+        for s in (0.3, 0.8):
+            below, here, above = (path.phi(s + d).values for d in (-h, 0.0, h))
+            tol = 1e-6 * np.max(np.abs(here))
+            assert np.max(np.abs(path.dphi(s) - (above - below) / (2 * h))) <= tol
+            assert np.max(np.abs(path.d2phi(s) - (above - 2 * here + below) / h**2)) <= tol
+            assert (path.phi(s).profile is not None) == keeps_profile
+
+
 def test_path_independence_exact_for_reference_twist(radial, bump):
     mid = potential_from_radial_coeffs(radial, [-0.02, 0.04, 0.015, -0.01])
     for k in (4, 8):
