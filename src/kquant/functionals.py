@@ -80,9 +80,8 @@ __all__ = [
     "delta_l_sigma",
 ]
 
-S_QUAD_NODES = 32
 # Gauss-Legendre rule on [0, 1] shared by every path integral.
-S_NODES, S_WEIGHTS = gauss_legendre_01(S_QUAD_NODES)
+S_NODES, S_WEIGHTS = gauss_legendre_01(32)
 
 
 # ---------------------------------------------------------------------------

@@ -243,11 +243,8 @@ def _twist_series(ctx: _Ctx, title: str, twisted: bool, values, fit: bool = Fals
 def _exp_bergman(ctx: _Ctx) -> Report:
     cfg = ctx.cfg
     md = G.metric_data(ctx.pot)
-    ks, vals = [], []
-    for k in cfg.k_list:
-        rho = Q.bergman(ctx.pot, k, md=md)
-        vals.append(float(np.max(np.abs(rho.values - k - md.scalar / 2.0))))
-        ks.append(k)
+    ks = list(cfg.k_list)
+    vals = [float(np.max(np.abs(Q.bergman(ctx.pot, k, md=md).values - k - md.scalar / 2.0))) for k in ks]
     fit = fit_power_law(list(zip(ks, vals)))
     series = [Series("sup|rho_k - k - S/2|", ks, vals, fit)]
     if fit.flag == "exact":
@@ -265,11 +262,9 @@ def _exp_psi(ctx: _Ctx) -> Report:
     md = G.metric_data(ctx.pot)
     theta = G.holomorphy_potential(ctx.V, ctx.pot)
     target = (theta + G.SBAR) / 2.0
-    ks, vals = [], []
-    for k in cfg.k_list:
-        psi = Q.psi_potential(ctx.lift(k, True), ctx.pot, md=md)
-        vals.append(float(np.max(np.abs(k * psi.values - target))))
-        ks.append(k)
+    ks = list(cfg.k_list)
+    psis = [Q.psi_potential(ctx.lift(k, True), ctx.pot, md=md) for k in ks]
+    vals = [float(np.max(np.abs(k * psi.values - target))) for k, psi in zip(ks, psis)]
     fit = fit_power_law(list(zip(ks, vals)))
     series = [Series("sup|k psi_k - (theta+2)/2|", ks, vals, fit)]
     decreasing = all(b < a for a, b in zip(vals, vals[1:]))
