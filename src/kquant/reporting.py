@@ -49,6 +49,8 @@ class Verdict:
     passed: bool = field(init=False)
 
     def __post_init__(self):
+        if self.comparison not in COMPARISONS:
+            raise ValueError(f"unknown verdict comparison {self.comparison!r}")
         holds = COMPARISONS[self.comparison](self.value, self.threshold)
         self.passed = math.isfinite(self.value) and bool(holds)
 

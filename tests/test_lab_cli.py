@@ -325,6 +325,13 @@ def test_verdict_on_non_finite_value_fails(value):
     assert Verdict("check", 0.5, 1.0).passed
 
 
+def test_verdict_works_out_passed_from_comparison():
+    assert Verdict("check", 1.5, 1.0, ">=").passed and not Verdict("check", 0.5, 1.0, ">=").passed
+    assert not Verdict("check", 1.5, 1.0).passed
+    with pytest.raises(ValueError, match="'<'"):
+        Verdict("check", 0.5, 1.0, "<")
+
+
 def test_minimization_with_one_nan_gap_fails(monkeypatch):
     import kquant.lab
 
