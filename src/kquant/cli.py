@@ -79,30 +79,31 @@ def main(argv=None) -> int:
         return 0
 
     fields: dict = {}
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     try:
         if args.config:
             fields.update(_coerce(_parse_config_file(args.config)))
         if args.k:
             fields["k_list"] = tuple(int(t) for t in args.k.split(","))
-        if args.resolution is not None:
-            fields["resolution"] = args.resolution
-        if args.seed is not None:
-            fields["seed"] = args.seed
-        if args.out:
-            fields["out_dir"] = args.out
-        if args.format:
-            fields["formats"] = tuple(t.strip() for t in args.format.split(","))
-        fields.pop("experiment", None)
-        # every config is checked before any experiment runs
-        configs = [ExperimentConfig(experiment=name, **fields) for name in names]
-    except (KQuantError, OSError, TypeError, ValueError) as err:
+    except (KQuantError, OSError, ValueError) as err:
         print(f"invalid config: {err}", file=sys.stderr)
         return 2
+    if args.resolution is not None:
+        fields["resolution"] = args.resolution
+    if args.seed is not None:
+        fields["seed"] = args.seed
+    if args.out:
+        fields["out_dir"] = args.out
+    if args.format:
+        fields["formats"] = tuple(t.strip() for t in args.format.split(","))
 
+    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     all_pass = True
-    for cfg in configs:
-        name = cfg.experiment
+    for name in names:
+        try:
+            cfg = ExperimentConfig(experiment=name, **{k: v for k, v in fields.items() if k != "experiment"})
+        except (KQuantError, TypeError) as err:
+            print(f"invalid config for {name}: {err}", file=sys.stderr)
+            return 2
         try:
             report = run_experiment(cfg)
         except KQuantError as err:  # set-up errors, such as a bad potential file

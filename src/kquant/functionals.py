@@ -178,16 +178,12 @@ def circle_group(V: VectorFieldSpec | None = None) -> GroupSpec:
 # Matrix-level functional
 
 
-def _base_form(grid, k: int) -> HermForm:
-    return hilb(zero_potential(grid), k)
-
-
 def i_k(form: HermForm, grid) -> float:
     """log det relative to the base Gram form at the zero potential."""
     sign, logdet = np.linalg.slogdet(form.entries)
     if sign.real <= 0:
         raise NotPositiveDefiniteError("form must be positive definite")
-    sign0, logdet0 = np.linalg.slogdet(_base_form(grid, form.degree).entries)
+    sign0, logdet0 = np.linalg.slogdet(hilb(zero_potential(grid), form.degree).entries)
     return float(logdet - logdet0)
 
 
