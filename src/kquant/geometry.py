@@ -220,20 +220,23 @@ def _profile_fields(u: np.ndarray, profile) -> tuple[np.ndarray, np.ndarray, np.
     and the curvature is (2 dens^2 - W' dens + W dens') / dens^3 for
     W = u(1-u) dens', all exact polynomial arithmetic.
     """
+
+    def der(c):  # numpy's polyder, without its per-call overhead
+        return np.arange(1.0, len(c)) * c[1:] if len(c) > 1 else 0.0 * c[:1]
+
     c0, cs = profile
-    phi = np.concatenate(([c0], np.asarray(cs, dtype=float)))
     uu = np.array([0.0, 1.0, -1.0])  # u(1-u)
-    g1 = P.polymul(uu, P.polyder(phi)) if len(phi) > 1 else np.array([0.0])
-    dens_c = P.polyadd(np.array([1.0]), P.polyder(g1))
-    ddens_c = P.polyder(dens_c)
-    W = P.polymul(uu, ddens_c)
-    dW = P.polyder(W)
-    dens = P.polyval(u, dens_c)
-    ddens = P.polyval(u, ddens_c)
-    Wv = P.polyval(u, W)
-    dWv = P.polyval(u, dW)
+    g1 = np.convolve(uu, der(np.array([c0, *cs], dtype=float)))
+    dens_c = der(g1)
+    dens_c[0] += 1.0
+    ddens_c = der(dens_c)
+    W = np.convolve(uu, ddens_c)
+    # One Horner pass over all five, zero-padded to the length of W (the
+    # longest, with g1); zero top coefficients leave every value unchanged.
+    pad = [np.concatenate((c, np.zeros(len(W) - len(c)))) for c in (g1, dens_c, ddens_c, W, der(W))]
+    g1v, dens, ddens, Wv, dWv = P.polyval(u, np.stack(pad, axis=1))
     scalar = (2.0 * dens**2 - dWv * dens + Wv * ddens) / dens**3
-    return P.polyval(u, g1), dens, scalar
+    return g1v, dens, scalar
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from kquant import (
     KQuantError,
     NonKahlerError,
     VectorFieldSpec,
+    build_grid,
     holomorphy_potential,
     i_sigma_k,
     identity_lift,
@@ -21,7 +22,7 @@ from kquant import (
     sigma_lift,
     zero_potential,
 )
-from kquant.geometry import TWIST_RATE_DEFAULT
+from kquant.geometry import TWIST_RATE_DEFAULT, _profile_fields
 from kquant.grids import interp_matrix
 
 
@@ -60,6 +61,33 @@ def test_spectral_and_exact_profiles_agree(radial, bump):
     interior = (radial.u > 0.02) & (radial.u < 0.98)
     assert np.max(np.abs(md_exact.scalar - md_spec.scalar)[interior]) < 1e-6
     assert np.max(np.abs(md_exact.density - md_spec.density)) < 1e-8
+
+
+def polynomial_profile_fields(u, profile):
+    """Reference: the profile fields through numpy.polynomial, one call per step."""
+    from numpy.polynomial import polynomial as P
+
+    c0, cs = profile
+    phi = np.concatenate(([c0], np.asarray(cs, dtype=float)))
+    uu = np.array([0.0, 1.0, -1.0])
+    g1 = P.polymul(uu, P.polyder(phi)) if len(phi) > 1 else np.array([0.0])
+    dens_c = P.polyadd(np.array([1.0]), P.polyder(g1))
+    ddens_c = P.polyder(dens_c)
+    W = P.polymul(uu, ddens_c)
+    dens, ddens = P.polyval(u, dens_c), P.polyval(u, ddens_c)
+    scalar = (2.0 * dens**2 - P.polyval(u, P.polyder(W)) * dens + P.polyval(u, W) * ddens) / dens**3
+    return P.polyval(u, g1), dens, scalar
+
+
+@pytest.mark.parametrize("n", [16, 512])
+def test_profile_fields_match_numpy_polynomial(n):
+    u = build_grid("radial", n).u
+    rng = np.random.default_rng(n)
+    profiles = [(0.0, ()), (0.0, (0.0,)), (0.3, (0.05, 0.0)), (0.0, (0.0, 0.0, 0.2))]
+    profiles += [(rng.uniform(-1, 1), tuple(rng.uniform(-0.1, 0.1, m))) for m in range(1, 7) for _ in range(5)]
+    for profile in profiles:
+        for got, want in zip(_profile_fields(u, profile), polynomial_profile_fields(u, profile)):
+            assert np.array_equal(got, want)
 
 
 def test_laplacian_self_adjoint_and_mean_zero(radial, bump):
