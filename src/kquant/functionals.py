@@ -37,7 +37,6 @@ from .geometry import (
     holomorphy_potential,
     identity_lift,
     metric_data,
-    sections_dim,
     zero_potential,
 )
 from .grids import gauss_legendre_01
@@ -108,7 +107,10 @@ class PathInPotentials:
         return pot
 
     def _derivative(self, s: float, m: int) -> np.ndarray:
-        return sum(P.polyval(s, P.polyder(c, m)) * term.values for term, c in self.terms)
+        rates = [c for _, c in self.terms]
+        for _ in range(m):  # numpy's polyder arithmetic, without its per-call overhead
+            rates = [[j * a for j, a in enumerate(c)][1:] or [0.0] for c in rates]
+        return sum(P.polyval(s, r) * term.values for (term, _), r in zip(self.terms, rates))
 
     def dphi(self, s: float) -> np.ndarray:
         return self._derivative(s, 1)

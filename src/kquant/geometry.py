@@ -231,8 +231,7 @@ def _profile_fields(u: np.ndarray, profile) -> tuple[np.ndarray, np.ndarray, np.
     dens_c[0] += 1.0
     ddens_c = der(dens_c)
     W = np.convolve(uu, ddens_c)
-    # One Horner pass over all five, zero-padded to the length of W (the
-    # longest, with g1); zero top coefficients leave every value unchanged.
+    # One Horner pass over all five, zero-padded to W, the longest: exact.
     pad = [np.concatenate((c, np.zeros(len(W) - len(c)))) for c in (g1, dens_c, ddens_c, W, der(W))]
     g1v, dens, ddens, Wv, dWv = P.polyval(u, np.stack(pad, axis=1))
     scalar = (2.0 * dens**2 - dWv * dens + Wv * ddens) / dens**3

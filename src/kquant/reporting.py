@@ -34,13 +34,13 @@ class Series:
     fit: FitResult | None = None
 
 
-# How a passing value relates to its threshold.
 COMPARISONS = {"<=": operator.le, ">=": operator.ge}
 
 
 @dataclass
 class Verdict:
-    """One acceptance check; a non-finite value never passes."""
+    """One acceptance check; passed follows from value, threshold and comparison,
+    never from a stored flag, and a non-finite value never passes."""
 
     criterion: str
     value: float
@@ -84,7 +84,6 @@ def report_from_json(text: str) -> Report:
         )
         for s in raw.get("series", [])
     ]
-    # passed is worked out again from the value, never taken from the file
     verdicts = [Verdict(**{k: x for k, x in v.items() if k != "passed"}) for v in raw.get("verdicts", [])]
     return Report(
         experiment=raw["experiment"],
