@@ -37,7 +37,6 @@ from .quantize import (
     IterationLog,
     NotPositiveDefiniteError,
     PsiField,
-    SectionBasis,
     balanced_residual,
     bergman,
     fs,
@@ -45,7 +44,6 @@ from .quantize import (
     load_herm_form,
     psi_potential,
     save_herm_form,
-    section_basis,
     sigma_balanced_iterate,
 )
 from .functionals import (

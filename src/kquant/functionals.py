@@ -216,10 +216,11 @@ def delta_i_sigma(
     return float(k * (k * md.integrate(direction * epsi) + md.integrate(direction * md.laplace(epsi))))
 
 
-def _integrate_along(path: PathInPotentials, k: int, lift: AutomorphismLift) -> float:
+def _path_integral(path: PathInPotentials, one_form: Callable[[Potential, np.ndarray], float]) -> float:
+    """int_0^1 one_form(phi_s, phi_s') ds by the shared rule S_NODES/S_WEIGHTS."""
     total = 0.0
     for s, w in zip(S_NODES, S_WEIGHTS):
-        total += w * delta_i_sigma(path.phi(s), path.dphi(s), k, lift)
+        total += w * one_form(path.phi(s), path.dphi(s))
     return float(total)
 
 
@@ -245,7 +246,7 @@ def i_sigma_k(
         legs = [linear_path(pot_or_paths)]
     else:
         legs = path if isinstance(path, list) else [path]
-    return float(sum(_integrate_along(leg, k, lift) for leg in legs))
+    return float(sum(_path_integral(leg, lambda p, vel: delta_i_sigma(p, vel, k, lift)) for leg in legs))
 
 
 def l_sigma_k(pot: Potential, k: int, lift: AutomorphismLift | None = None) -> float:
@@ -278,15 +279,13 @@ def delta_l_sigma(
 ) -> float:
     """Differential of l_sigma_k: -int direction (k + Delta)(rho_k - k e^psi) d mu.
 
-    Vanishes exactly at normalized balanced potentials, where rho_k equals
-    k e^psi pointwise.
+    Formed as l_sigma_k is split: d(i_k o hilb) = -int direction (k + Delta)
+    (rho_k) d mu plus the twisted Aubin differential.  Vanishes exactly at
+    normalized balanced potentials, where rho_k equals k e^psi pointwise.
     """
-    lift = identity_lift(k) if lift is None else lift
     md = metric_data(pot) if md is None else md
     rho = bergman(pot, k, md=md).values
-    psi = psi_potential(lift, pot, md=md)
-    gap = rho - k * psi.exp()
-    return float(-md.integrate(direction * (k * gap + md.laplace(gap))))
+    return delta_i_sigma(pot, direction, k, lift, md) - float(md.integrate(direction * (k * rho + md.laplace(rho))))
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +305,11 @@ def _energy_primitive(pot: Potential, density_of: Callable[[Potential, MetricDat
     here integrates exactly (they are closed); its points keep the exact
     profile of phi when it has one.
     """
-    path = linear_path(pot)
-    total = 0.0
-    for s, w in zip(S_NODES, S_WEIGHTS):
-        p = path.phi(s)
+    def one_form(p: Potential, vel: np.ndarray) -> float:
         md = metric_data(p)
-        total += w * md.integrate(path.dphi(s) * density_of(p, md))
-    return float(total)
+        return md.integrate(vel * density_of(p, md))
+
+    return _path_integral(linear_path(pot), one_form)
 
 
 def mabuchi_energy(pot: Potential) -> float:
@@ -464,17 +461,9 @@ def i_sigma_hessian(
 
     |d phi'|^2 is the Riemannian gradient norm of the velocity field.
     """
-    lift = identity_lift(k) if lift is None else lift
     pot = path.phi(s)
     md = metric_data(pot)
-    vel = path.dphi(s)
-    acc = path.d2phi(s)
-    integrand = acc - 0.5 * md.grad_norm_sq(vel)
-    psi = psi_potential(lift, pot, md=md)
-    epsi = psi.exp()
-    if lift.is_identity:
-        return float(k * k * md.integrate(integrand * epsi))
-    return float(k * (k * md.integrate(integrand * epsi) + md.integrate(integrand * md.laplace(epsi))))
+    return delta_i_sigma(pot, path.d2phi(s) - 0.5 * md.grad_norm_sq(path.dphi(s)), k, lift, md)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +480,7 @@ def fk_prime(
 
     Returns (slope, lambda_bound) where
 
-        slope = 2 sum_a lam_a - 2 int (rho^lam / rho)(k + Delta)(e^psi) d mu / k
+        slope = 2 sum_a lam_a - 2 int (rho^lam / rho)(k + Delta)(e^psi) d mu
 
     with every field computed at the reference potential, rho^lam the
     lambda-weighted section density of the geodesic's common eigenbasis, and

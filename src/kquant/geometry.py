@@ -243,10 +243,10 @@ class MetricData:
     """Derived metric quantities of an admissible potential.
 
     ``a`` is the local coefficient A_phi, ``volume_weights`` are quadrature
-    weights for d mu_phi, ``scalar`` the scalar curvature field, and ``sbar``
-    the model constant 2.  The Laplacian and gradient pairing close over the
-    same coefficient so the integration-by-parts identities hold exactly at
-    the discrete level up to quadrature error.
+    weights for d mu_phi, and ``scalar`` the scalar curvature field.  The
+    Laplacian and gradient pairing close over the same coefficient so the
+    integration-by-parts identities hold exactly at the discrete level up to
+    quadrature error.
     """
 
     potential: Potential
@@ -254,7 +254,6 @@ class MetricData:
     density: np.ndarray
     volume_weights: np.ndarray
     scalar: np.ndarray
-    sbar: float = SBAR
 
     @property
     def grid(self):

@@ -77,7 +77,6 @@ class ExperimentConfig:
     resolution: int = 512
     n_theta: int = 64
     potential: tuple[float, ...] | str = PUBLISHED_BUMP
-    group: str = "trivial"
     twist_strength: float = 1.0
     twist_rate: float = TWIST_RATE_DEFAULT
     calibrate: bool = False
@@ -99,8 +98,6 @@ class ExperimentConfig:
             raise G.KQuantError("k_list must be strictly increasing positive integers")
         if not 8 <= self.resolution <= 4096:
             raise G.KQuantError("resolution must lie in [8, 4096]")
-        if self.group not in ("trivial", "circle"):
-            raise G.KQuantError("group must be 'trivial' or 'circle'")
         unknown = [fmt for fmt in self.formats if fmt not in FORMATS]
         if unknown:
             raise G.KQuantError(f"unknown report formats {unknown}; choices: {sorted(FORMATS)}")

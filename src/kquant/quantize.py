@@ -34,8 +34,6 @@ from .geometry import (
 )
 
 __all__ = [
-    "SectionBasis",
-    "section_basis",
     "HermForm",
     "NotPositiveDefiniteError",
     "hilb",
@@ -57,33 +55,6 @@ class NotPositiveDefiniteError(KQuantError):
 
 
 @dataclass(frozen=True)
-class SectionBasis:
-    """Monomial basis of the degree-k section space with pointwise tables.
-
-    ``norms`` holds |s_j|^2 at the radial nodes, shape (n_u, k+1); the full
-    pairing (s_a, s_b)(z) is recovered with the angular phase
-    e^{i(a-b)theta}, which the grid applies in its Gram and section tables.
-    """
-
-    grid: object
-    degree: int
-
-    @property
-    def dimension(self) -> int:
-        return sections_dim(self.degree)
-
-    @property
-    def norms(self) -> np.ndarray:
-        return np.exp(self.grid.radial.log_section_norms(self.degree))
-
-
-def section_basis(grid, k: int) -> SectionBasis:
-    if k < 1:
-        raise KQuantError("degree k must be at least 1")
-    return SectionBasis(grid=grid, degree=k)
-
-
-@dataclass(frozen=True)
 class HermForm:
     """Positive definite Hermitian form on the degree-k section space."""
 
@@ -91,6 +62,8 @@ class HermForm:
     degree: int
 
     def __post_init__(self):
+        if self.degree < 1:
+            raise KQuantError("degree k must be at least 1")
         n = sections_dim(self.degree)
         if self.entries.shape != (n, n):
             raise KQuantError(f"form shape {self.entries.shape} does not match degree {self.degree}")
@@ -160,14 +133,14 @@ def hilb(pot: Potential, k: int, md: MetricData | None = None) -> HermForm:
     return HermForm(entries=pot.grid.gram(k, weight), degree=k)
 
 
-def _inverse_contraction(form: HermForm, basis: SectionBasis) -> np.ndarray:
+def _inverse_contraction(form: HermForm, grid) -> np.ndarray:
     """sum_{ab} (H^{-1})_{ba} (s_a, s_b)(z) at the grid nodes.
 
     With H = L L^dagger the columns of L^{-dagger} are an H-orthonormal basis,
     whose squared norms sum to the contraction.
     """
     Linv = np.linalg.inv(form.cholesky())
-    return basis.grid.section_density(form.degree, Linv.conj().T)
+    return grid.section_density(form.degree, Linv.conj().T)
 
 
 def fs(form: HermForm, grid) -> Potential:
@@ -177,9 +150,8 @@ def fs(form: HermForm, grid) -> Potential:
     pointwise pairing table with H^{-1}, so the result does not depend on
     which orthonormal basis a factorization produces.
     """
-    basis = section_basis(grid, form.degree)
-    dens = _inverse_contraction(form, basis)
-    vals = np.log(dens / basis.dimension) / form.degree
+    dens = _inverse_contraction(form, grid)
+    vals = np.log(dens / form.dimension) / form.degree
     invariant = bool(np.allclose(vals, grid.broadcast(grid.radial_part(vals)), atol=1e-13))
     return Potential(grid, vals, invariant=invariant)
 
@@ -198,8 +170,7 @@ class BergmanField:
 def bergman(pot: Potential, k: int, md: MetricData | None = None, form: HermForm | None = None) -> BergmanField:
     """rho_k(phi) = e^{-k phi} * contraction of the base pairing with H^{-1}."""
     form = hilb(pot, k, md=md) if form is None else form
-    basis = section_basis(pot.grid, k)
-    dens = _inverse_contraction(form, basis)
+    dens = _inverse_contraction(form, pot.grid)
     return BergmanField(values=dens * np.exp(-k * pot.values), degree=k)
 
 
@@ -213,7 +184,6 @@ class PsiField:
 
     values: np.ndarray
     degree: int
-    scale: complex  # point map of the automorphism it belongs to
 
     def exp(self) -> np.ndarray:
         return np.exp(self.values)
@@ -230,13 +200,13 @@ def psi_potential(lift: AutomorphismLift, pot: Potential, md: MetricData | None 
     k = lift.degree
     nu = sections_dim(k) / k
     if lift.is_identity:
-        return PsiField(values=np.full_like(pot.values, np.log(nu)), degree=k, scale=1.0)
+        return PsiField(values=np.full_like(pot.values, np.log(nu)), degree=k)
     w = lift.base_potential(pot.grid) + lift.compose_potential(pot) - pot.values
     raw = w / (2.0 * np.pi)
     mass = md.integrate(np.exp(raw))
     if not np.isfinite(mass) or mass <= 0.0:
         raise KQuantError("twist potential normalization integral is not finite")
-    return PsiField(values=raw + np.log(nu / mass), degree=k, scale=lift.scale)
+    return PsiField(values=raw + np.log(nu / mass), degree=k)
 
 
 def balanced_residual(

@@ -10,6 +10,8 @@ import operator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from .grids import KQuantError
+
 __all__ = ["FitResult", "Series", "Verdict", "Report", "emit_report", "report_from_json"]
 
 CSV_HEADER = ["experiment", "k", "value", "fit_coeff", "fit_exp", "verdict"]
@@ -74,24 +76,28 @@ class Report:
 
 
 def report_from_json(text: str) -> Report:
-    raw = json.loads(text)
-    series = [
-        Series(
-            label=s["label"],
-            ks=s["ks"],
-            values=s["values"],
-            fit=FitResult(**s["fit"]) if s.get("fit") else None,
+    """Parse a report document; malformed input raises KQuantError."""
+    try:
+        raw = json.loads(text)
+        series = [
+            Series(
+                label=s["label"],
+                ks=s["ks"],
+                values=s["values"],
+                fit=FitResult(**s["fit"]) if s.get("fit") else None,
+            )
+            for s in raw.get("series", [])
+        ]
+        verdicts = [Verdict(**{k: x for k, x in v.items() if k != "passed"}) for v in raw.get("verdicts", [])]
+        return Report(
+            experiment=raw["experiment"],
+            series=series,
+            verdicts=verdicts,
+            environment=raw.get("environment", {}),
+            notes=raw.get("notes", []),
         )
-        for s in raw.get("series", [])
-    ]
-    verdicts = [Verdict(**{k: x for k, x in v.items() if k != "passed"}) for v in raw.get("verdicts", [])]
-    return Report(
-        experiment=raw["experiment"],
-        series=series,
-        verdicts=verdicts,
-        environment=raw.get("environment", {}),
-        notes=raw.get("notes", []),
-    )
+    except (ValueError, AttributeError, KeyError, TypeError) as err:  # ValueError covers JSONDecodeError
+        raise KQuantError(f"malformed report: {type(err).__name__}: {err}") from None
 
 
 def _csv_text(report: Report) -> str:

@@ -262,6 +262,21 @@ def test_criticality_at_balanced_point(radial):
         assert val <= 1e-6 * np.max(np.abs(d))
 
 
+def test_delta_l_matches_fd(radial, bump):
+    # identity twist: relative error; gradient twist: the defect on the k^2
+    # scale of the differential, as in the twisted gradient check above
+    rng = np.random.default_rng(14)
+    eps = 1e-4
+    for k in (8, 16):
+        for lift, bound in ((identity_lift(k), 1e-6), (sigma_lift(V, k, 1.0), 5e-5)):
+            d = potential_from_radial_coeffs(radial, rng.uniform(-0.4, 0.4, 4)).values
+            formula = delta_l_sigma(bump, d, k, lift)
+            plus = l_sigma_k(bump.with_values(bump.values + eps * d), k, lift)
+            minus = l_sigma_k(bump.with_values(bump.values - eps * d), k, lift)
+            scale = abs(formula) if lift.is_identity else k * k * np.max(np.abs(d))
+            assert abs(formula - (plus - minus) / (2 * eps)) / scale <= bound
+
+
 def test_z_minimal_at_balanced_point(radial):
     # one-sided slopes of Z along geodesics leaving the balanced Gram form
     pot = potential_from_radial_coeffs(radial, [0.02, -0.03, 0.01])
@@ -471,3 +486,12 @@ def test_fk_prime_agrees_with_z_slope_identity_twist(radial, flat, bump):
     dz = z_first_variation(geo, radial, 0.0, identity_lift(k))
     slope, _ = fk_prime(bump, flat, k, identity_lift(k))
     assert abs(dz - slope) <= 1e-9 * max(1.0, abs(dz))
+
+
+@pytest.mark.parametrize("k", [4, 12, 32])
+def test_fk_prime_agrees_with_z_slope_gradient_twist(radial, flat, bump, k):
+    lift = sigma_lift(V, k, 1.0)
+    geo = bk_geodesic(hilb(flat, k), hilb(bump, k))
+    dz = z_first_variation(geo, radial, 0.0, lift)
+    slope, _ = fk_prime(bump, flat, k, lift)
+    assert abs(dz - slope) <= 1e-12 * max(1.0, abs(dz))

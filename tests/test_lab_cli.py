@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from kquant import (
 )
 from kquant.cli import main as cli_main
 from kquant.reporting import CSV_HEADER
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_fit_power_law_exact_synthetic():
@@ -74,8 +78,6 @@ def test_config_validation():
         ExperimentConfig(experiment="bergman-expansion", k_list=(8, 8))
     with pytest.raises(KQuantError):
         ExperimentConfig(experiment="bergman-expansion", resolution=4)
-    with pytest.raises(KQuantError):
-        ExperimentConfig(experiment="bergman-expansion", group="torus")
 
 
 @pytest.mark.parametrize(
@@ -128,6 +130,22 @@ def test_report_json_roundtrip(tmp_path):
     )
     back = report_from_json(rep.to_json())
     assert back.to_json() == rep.to_json()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        "[1, 2]",
+        '{"series": [], "verdicts": []}',
+        '{"experiment": "demo", "verdicts": [{"criterion": "check", "value": 0.5}]}',
+        '{"experiment": "demo", "series": [{"label": "s", "ks": [2], "values": [1.0], "fit": {"coefficient": 1.0}}]}',
+    ],
+    ids=["not-json", "not-object", "no-experiment", "verdict-field", "fit-field"],
+)
+def test_report_from_json_rejects_malformed(text):
+    with pytest.raises(KQuantError):
+        report_from_json(text)
 
 
 def test_report_json_recomputes_passed():
@@ -270,8 +288,9 @@ def test_cli_unknown_grid_mode_fails_before_running(tmp_path, capsys):
         ("resolution = abc\n", [], "'abc'"),
         (None, [], "bad.cfg"),
         ("", ["--k", "8,x"], "'x'"),
+        ("group = circle\n", [], "'group'"),
     ],
-    ids=["no-equals", "non-numeric", "missing-file", "bad-k"],
+    ids=["no-equals", "non-numeric", "missing-file", "bad-k", "removed-key"],
 )
 def test_cli_invalid_config_line(tmp_path, capsys, text, flags, names):
     cfg = tmp_path / "bad.cfg"
@@ -286,8 +305,11 @@ def test_cli_invalid_config_line(tmp_path, capsys, text, flags, names):
 
 
 def test_console_script_installed():
+    # the subprocess does not see pytest's own path, so it gets src explicitly
+    path = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     proc = subprocess.run(
-        [sys.executable, "-m", "kquant.cli", "list"], capture_output=True, text=True
+        [sys.executable, "-m", "kquant.cli", "list"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert "z-convexity" in proc.stdout

@@ -19,7 +19,6 @@ from kquant import (
     potential_from_values,
     psi_potential,
     save_herm_form,
-    section_basis,
     sections_dim,
     sigma_balanced_iterate,
     sigma_lift,
@@ -29,7 +28,7 @@ from kquant import (
 from kquant.quantize import _inverse_contraction
 
 
-def eigh_contraction(form: HermForm, basis) -> np.ndarray:
+def eigh_contraction(form: HermForm, grid) -> np.ndarray:
     """Radial section density through an eigendecomposition orthonormalization."""
     H = 0.5 * (form.entries + form.entries.conj().T)
     vals, vecs = np.linalg.eigh(H)
@@ -37,7 +36,7 @@ def eigh_contraction(form: HermForm, basis) -> np.ndarray:
         raise NotPositiveDefiniteError("form is not positive definite")
     C = vecs / np.sqrt(vals)[None, :]  # columns: H-orthonormal coefficients
     Hinv = C @ C.conj().T
-    return basis.norms @ np.real(np.diag(Hinv))
+    return np.exp(grid.log_section_norms(form.degree)) @ np.real(np.diag(Hinv))
 
 
 def beta_moment(j: int, k: int) -> float:
@@ -47,14 +46,23 @@ def beta_moment(j: int, k: int) -> float:
     )
 
 
-def test_section_basis_dimensions(radial):
-    assert section_basis(radial, 1).dimension == 2
-    assert section_basis(radial, 3).dimension == 4
+def test_section_basis_dimensions(flat):
+    assert hilb(flat, 1).dimension == 2
+    assert hilb(flat, 3).dimension == 4
+
+
+def test_degree_zero_raises(radial, flat):
+    with pytest.raises(KQuantError):
+        hilb(flat, 0)
+    with pytest.raises(KQuantError):
+        bergman(flat, 0)
+    with pytest.raises(KQuantError):
+        fs(HermForm(np.ones((1, 1), dtype=complex), 0), radial)
 
 
 def test_degree_one_norms_sum_to_one(radial):
-    basis = section_basis(radial, 1)
-    assert np.max(np.abs(basis.norms.sum(axis=1) - 1.0)) <= 1e-14
+    norms = np.exp(radial.log_section_norms(1))
+    assert np.max(np.abs(norms.sum(axis=1) - 1.0)) <= 1e-14
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 12])
@@ -104,9 +112,8 @@ def test_fs_factorization_independence(radial, grid2d, bump):
     # Cholesky-based and eigendecomposition-based orthonormalizations give
     # the same section density
     H = hilb(bump, 10)
-    basis = section_basis(radial, 10)
-    d1 = _inverse_contraction(H, basis)
-    d2 = eigh_contraction(H, basis)
+    d1 = _inverse_contraction(H, radial)
+    d2 = eigh_contraction(H, radial)
     assert np.max(np.abs(d1 - d2)) / np.max(d1) <= 1e-12
 
 

@@ -1,5 +1,6 @@
 """Source guards over src/kquant: only grids knows the kind of grid it holds,
-and no function imports from another kquant module."""
+no function imports from another kquant module, and functionals forms the
+twisted weight and runs the path rule in one place each."""
 
 import ast
 from pathlib import Path
@@ -105,3 +106,23 @@ def test_no_function_level_kquant_imports(path):
     found = scan(path.read_text())
     stray = [imp for imp in found.function_imports if (path.name, *imp) not in ALLOWED_FUNCTION_IMPORTS]
     assert stray == [], f"{path.name} imports inside functions: {stray}"
+
+
+def owners(tree: ast.Module, pred) -> set[str]:
+    """Names of the top-level definitions (or <module>) holding a node that satisfies pred."""
+    return {getattr(top, "name", "<module>") for top in tree.body for node in ast.walk(top) if pred(node)}
+
+
+def test_functionals_forms_weight_and_path_rule_once():
+    tree = ast.parse((SRC / "functionals.py").read_text())
+
+    def calls_psi(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "psi_potential"
+
+    def loops_over_nodes(node):
+        return isinstance(node, (ast.For, ast.comprehension)) and any(
+            getattr(n, "id", None) == "S_NODES" for n in ast.walk(node.iter)
+        )
+
+    assert owners(tree, calls_psi) == {"delta_i_sigma", "fk_prime"}
+    assert owners(tree, loops_over_nodes) == {"_path_integral"}
