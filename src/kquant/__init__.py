@@ -81,7 +81,6 @@ from .lab import (
     EXPERIMENTS,
     PUBLISHED_BUMP,
     ExperimentConfig,
-    calibrate_twist_constant,
     fit_power_law,
     run_experiment,
 )

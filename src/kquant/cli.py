@@ -38,10 +38,6 @@ def _coerce(fields: dict) -> dict:
     for key, value in fields.items():
         if key in ("resolution", "n_theta", "seed"):
             out[key] = int(value)
-        elif key in ("twist_strength", "twist_rate"):
-            out[key] = float(value)
-        elif key == "calibrate":
-            out[key] = value.lower() in ("1", "true", "yes")
         elif key == "k_list":
             out[key] = tuple(int(t) for t in value.replace(",", " ").split())
         elif key == "formats":
@@ -52,8 +48,6 @@ def _coerce(fields: dict) -> dict:
                 out[key] = tuple(float(t) for t in toks)
             except ValueError:
                 out[key] = value
-        elif key.startswith("tol."):
-            out.setdefault("tolerances", {})[key[4:]] = float(value)
         else:
             out[key] = value
     return out

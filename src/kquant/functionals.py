@@ -321,7 +321,7 @@ def moment_energy(pot: Potential, V: VectorFieldSpec) -> float:
     """Primitive of eta -> +int eta theta_V(phi) d mu_phi (moment-weighted energy)."""
     if V.is_zero:
         return 0.0
-    return _energy_primitive(pot, lambda p, md: holomorphy_potential(V, p))
+    return _energy_primitive(pot, lambda p, md: holomorphy_potential(V, p, md))
 
 
 def projection_pi(pot: Potential, group: GroupSpec, f: np.ndarray, md: MetricData | None = None) -> np.ndarray:
@@ -335,7 +335,7 @@ def projection_pi(pot: Potential, group: GroupSpec, f: np.ndarray, md: MetricDat
     if not pot.invariant:
         raise KQuantError("circle projections need circle-invariant potentials")
     md = metric_data(pot) if md is None else md
-    theta = holomorphy_potential(group.V, pot)
+    theta = holomorphy_potential(group.V, pot, md)
     gram = md.integrate(theta * theta)
     if gram <= 0.0:
         raise KQuantError("degenerate Killing potential Gram matrix")

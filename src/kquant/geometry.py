@@ -242,15 +242,13 @@ def _profile_fields(u: np.ndarray, profile) -> tuple[np.ndarray, np.ndarray, np.
 class MetricData:
     """Derived metric quantities of an admissible potential.
 
-    ``a`` is the local coefficient A_phi, ``volume_weights`` are quadrature
-    weights for d mu_phi, and ``scalar`` the scalar curvature field.  The
-    Laplacian and gradient pairing close over the same coefficient so the
-    integration-by-parts identities hold exactly at the discrete level up to
-    quadrature error.
+    ``density`` is A_phi/A_0, ``volume_weights`` are quadrature weights for
+    d mu_phi, and ``scalar`` the scalar curvature field.  The Laplacian and
+    gradient pairing close over the same density so the integration-by-parts
+    identities hold exactly at the discrete level up to quadrature error.
     """
 
     potential: Potential
-    a: np.ndarray
     density: np.ndarray
     volume_weights: np.ndarray
     scalar: np.ndarray
@@ -295,10 +293,7 @@ def metric_data(pot: Potential) -> MetricData:
         # log A = log A0 + log(density); the base part has the closed-form
         # mixed derivative -2 A0, so S(0) == 2 exactly.
         scalar = (2.0 + grid.base_laplace(np.log(density))) / density
-    a = grid.broadcast((1.0 - grid.u) ** 2) * density
-    return MetricData(
-        potential=pot, a=a, density=density, volume_weights=grid.weights * density, scalar=scalar
-    )
+    return MetricData(potential=pot, density=density, volume_weights=grid.weights * density, scalar=scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -311,22 +306,17 @@ class VectorFieldSpec:
 
     ``strength`` scales the standard generator: the gradient of the rotation
     moment (u - 1/2)/(2 pi), whose chart flow is the real dilation
-    z -> e^{strength t/(2 pi)} z.  ``moment_values`` optionally carries a
-    custom radial moment profile; holomorphy of its gradient is then checked
-    rather than assumed.
+    z -> e^{strength t/(2 pi)} z.
     """
 
     strength: float = 1.0
-    moment_values: np.ndarray | None = None
 
     @property
     def is_zero(self) -> bool:
-        return self.strength == 0.0 and self.moment_values is None
+        return self.strength == 0.0
 
     def flow_scale(self, time: float) -> float:
         """Chart dilation factor of the time-``time`` flow of the field."""
-        if self.moment_values is not None:
-            raise KQuantError("custom moment profiles have no closed-form flow")
         return float(np.exp(self.strength * time / (2.0 * np.pi)))
 
 
@@ -334,45 +324,25 @@ def rotation_field(strength: float = 1.0) -> VectorFieldSpec:
     return VectorFieldSpec(strength=strength)
 
 
-def holomorphy_potential(
-    V: VectorFieldSpec, pot: Potential, tol: float = 1e-6
-) -> np.ndarray:
+def holomorphy_potential(V: VectorFieldSpec, pot: Potential, md: MetricData | None = None) -> np.ndarray:
     """Mean-zero potential theta with g_phi(V, .) = d theta.
 
-    For the standard generator theta(phi) = strength * [rho F'/(2 pi) - mean]
-    with F = log(1+rho) + phi.  A custom moment profile is accepted only if
-    its gradient field is holomorphic for the model, which pins the profile
-    to a multiple of the rotation moment; otherwise the residual of the
-    defining equation is reported through an exception.
+    theta(phi) = strength * [rho F'/(2 pi) - mean] with F = log(1+rho) + phi,
+    the mean taken against d mu_phi; ``md`` is the metric data of ``pot``.
     """
     grid = pot.grid
     if not pot.invariant:
         raise KQuantError("holomorphy potentials need circle-invariant input")
-    md = metric_data(pot)
+    md = metric_data(pot) if md is None else md
+    if V.is_zero:
+        return np.zeros_like(pot.values)
     rg = grid.radial
     u = rg.u
-    if V.moment_values is not None:
-        # d theta = strength * A_phi/(2 pi) d rho is forced by holomorphy;
-        # fit the strength and insist the residual is small.
-        mu_rho = rg.d_drho(V.moment_values)
-        target = grid.radial_part(md.a) / (2.0 * np.pi)
-        c = float(np.dot(mu_rho, target) / np.dot(target, target))
-        resid = float(np.max(np.abs(mu_rho - c * target)) / max(np.max(np.abs(target)), 1e-300))
-        if resid > tol:
-            raise KQuantError(
-                f"moment profile does not generate a holomorphic gradient field "
-                f"(relative residual {resid:.3e})"
-            )
-        strength = c
-    else:
-        strength = V.strength
-    if strength == 0.0:
-        return np.zeros_like(pot.values)
     if pot.profile is not None:
         g1 = _profile_fields(u, pot.profile)[0]
     else:
         g1 = u * (1.0 - u) * (rg.D @ grid.radial_part(pot.values))
-    theta = strength * (u + g1) / (2.0 * np.pi)
+    theta = V.strength * (u + g1) / (2.0 * np.pi)
     mdw = rg.weights * grid.radial_part(md.density)
     theta = theta - float(np.dot(mdw, theta))
     return grid.broadcast(theta)

@@ -10,7 +10,7 @@ config seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "EXPERIMENTS",
     "fit_power_law",
     "run_experiment",
-    "calibrate_twist_constant",
 ]
 
 # Acceptance thresholds, pinned once.
@@ -46,6 +45,7 @@ ACCEPTANCE = {
     "z_convexity_floor": -1e-8,
     "compare_fit_p": 0.9,
     "quantize_fit_p": 0.9,
+    "slope_decay_p": 0.9,
     "chain_slack": 1e-10,
     "minimization_floor": -1e-8,
     "exact_floor": 1e-12,
@@ -77,13 +77,9 @@ class ExperimentConfig:
     resolution: int = 512
     n_theta: int = 64
     potential: tuple[float, ...] | str = PUBLISHED_BUMP
-    twist_strength: float = 1.0
-    twist_rate: float = TWIST_RATE_DEFAULT
-    calibrate: bool = False
     seed: int = 2026
     out_dir: str = "reports"
     formats: tuple[str, ...] = ("json",)
-    tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS and self.experiment != "all":
@@ -102,9 +98,6 @@ class ExperimentConfig:
         if unknown:
             raise G.KQuantError(f"unknown report formats {unknown}; choices: {sorted(FORMATS)}")
         check_grid(self.grid_mode, self.resolution, self.n_theta, self.k_list[-1])
-
-    def tol(self, name: str) -> float:
-        return float(self.tolerances.get(name, ACCEPTANCE[name]))
 
 
 def fit_power_law(pairs) -> FitResult:
@@ -137,37 +130,6 @@ def fit_power_law(pairs) -> FitResult:
     )
 
 
-def calibrate_twist_constant(
-    grid, pot, V, k: int = 48, window: tuple[float, float] = (-2.5, -0.5)
-) -> float:
-    """Golden-section fit of the twist rate constant.
-
-    Minimizes the sup-residual of the degree-k twist potential expansion
-    kappa = sup |k psi_k - (theta + 2)/2| over the rate constant; the
-    minimizer sits at -pi/2 for the gradient conventions used here.
-    """
-    md = G.metric_data(pot)
-    theta = G.holomorphy_potential(V, pot)
-    target = (theta + G.SBAR) / 2.0
-
-    def resid(c0):
-        lift = G.sigma_lift(V, k, 1.0, rate_constant=c0)
-        psi = Q.psi_potential(lift, pot, md=md)
-        return float(np.max(np.abs(k * psi.values - target)))
-
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = window
-    c, d = b - gr * (b - a), a + gr * (b - a)
-    for _ in range(40):
-        if resid(c) < resid(d):
-            b, d = d, c
-            c = b - gr * (b - a)
-        else:
-            a, c = c, d
-            d = a + gr * (b - a)
-    return 0.5 * (a + b)
-
-
 # ---------------------------------------------------------------------------
 # Shared experiment context
 
@@ -176,22 +138,17 @@ class _Ctx:
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.grid = build_grid(cfg.grid_mode, cfg.resolution, cfg.n_theta)
-        self.V = G.rotation_field(cfg.twist_strength)
-        self.rate = cfg.twist_rate
-        if cfg.calibrate:
-            probe = G.potential_from_radial_coeffs(self.grid, list(PUBLISHED_BUMP))
-            self.rate = calibrate_twist_constant(self.grid, probe, self.V)
+        self.V = G.rotation_field(1.0)
         if isinstance(cfg.potential, str) and cfg.potential != "published":
             self.pot = G.load_potential(cfg.potential, self.grid)
         else:
             coeffs = PUBLISHED_BUMP if cfg.potential == "published" else cfg.potential
             self.pot = G.potential_from_radial_coeffs(self.grid, list(coeffs))
-        self.rng = np.random.default_rng(cfg.seed)
 
     def lift(self, k: int, twisted: bool):
         if not twisted:
             return G.identity_lift(k)
-        return G.sigma_lift(self.V, k, 1.0, rate_constant=self.rate)
+        return G.sigma_lift(self.V, k)
 
     def seeded_potential(self, rng, scale=0.05, n_terms=4):
         for _ in range(64):
@@ -209,8 +166,7 @@ class _Ctx:
             "volume": G.VOLUME,
             "mean_scalar": G.SBAR,
             "sections": "k+1",
-            "twist_rate_constant": self.rate,
-            "twist_strength": self.cfg.twist_strength,
+            "twist_rate_constant": TWIST_RATE_DEFAULT,
             "grid_mode": self.cfg.grid_mode,
             "resolution": self.cfg.resolution,
             "n_theta": self.grid.header.get("n_theta"),
@@ -245,11 +201,11 @@ def _exp_bergman(ctx: _Ctx) -> Report:
     fit = fit_power_law(list(zip(ks, vals)))
     series = [Series("sup|rho_k - k - S/2|", ks, vals, fit)]
     if fit.flag == "exact":
-        verdicts = [Verdict("expansion exact", 0.0, cfg.tol("exact_floor"))]
+        verdicts = [Verdict("expansion exact", 0.0, ACCEPTANCE["exact_floor"])]
     else:
         verdicts = [
-            Verdict("fit exponent", fit.exponent, cfg.tol("bergman_fit_p"), ">="),
-            Verdict("fit residual", fit.residual, cfg.tol("bergman_fit_residual")),
+            Verdict("fit exponent", fit.exponent, ACCEPTANCE["bergman_fit_p"], ">="),
+            Verdict("fit residual", fit.residual, ACCEPTANCE["bergman_fit_residual"]),
         ]
     return Report("bergman-expansion", series, verdicts, ctx.environment())
 
@@ -257,7 +213,7 @@ def _exp_bergman(ctx: _Ctx) -> Report:
 def _exp_psi(ctx: _Ctx) -> Report:
     cfg = ctx.cfg
     md = G.metric_data(ctx.pot)
-    theta = G.holomorphy_potential(ctx.V, ctx.pot)
+    theta = G.holomorphy_potential(ctx.V, ctx.pot, md)
     target = (theta + G.SBAR) / 2.0
     ks = list(cfg.k_list)
     psis = [Q.psi_potential(ctx.lift(k, True), ctx.pot, md=md) for k in ks]
@@ -269,10 +225,10 @@ def _exp_psi(ctx: _Ctx) -> Report:
     factor = vals[-1] / predicted if predicted > 0 else math.inf
     verdicts = [
         Verdict("series decreasing", float(decreasing), 1.0, ">="),
-        Verdict("final vs fit prediction", factor, cfg.tol("psi_final_factor")),
+        Verdict("final vs fit prediction", factor, ACCEPTANCE["psi_final_factor"]),
     ]
     rep = Report("psi-expansion", series, verdicts, ctx.environment())
-    rep.notes.append(f"twist rate constant {ctx.rate:.6f} (expected -pi/2 = {-math.pi/2:.6f})")
+    rep.notes.append(f"twist rate constant {TWIST_RATE_DEFAULT:.6f} (expected -pi/2 = {-math.pi/2:.6f})")
     return rep
 
 
@@ -301,7 +257,7 @@ def _exp_path_independence(ctx: _Ctx) -> Report:
         Series("three-path defect (gradient twist)", ks_tw, tw_vals, fit_tw),
     ]
     worst = float(np.max(base_vals))
-    verdicts = [Verdict("path independence", worst, cfg.tol("path_independence_rel"))]
+    verdicts = [Verdict("path independence", worst, ACCEPTANCE["path_independence_rel"])]
     rep = Report("path-independence", series, verdicts, ctx.environment())
     rep.notes.append(
         "the gated functional uses the flow of the extremal field, which is "
@@ -331,7 +287,7 @@ def _exp_hessian(ctx: _Ctx) -> Report:
     rels = _sweep(ctx, max_rel_err)
     series = [_twist_series(ctx, "max rel err ({})", tw, vals) for tw, vals in rels.items()]
     worst = float(np.max(rels[False] + rels[True]))
-    verdicts = [Verdict("second-derivative formula", worst, cfg.tol("hessian_rel"))]
+    verdicts = [Verdict("second-derivative formula", worst, ACCEPTANCE["hessian_rel"])]
     return Report("hessian-check", series, verdicts, ctx.environment())
 
 
@@ -354,13 +310,13 @@ def _exp_z_convexity(ctx: _Ctx) -> Report:
     mins = _sweep(ctx, min_second_derivative)
     series = [_twist_series(ctx, "min FD second derivative ({})", tw, vals) for tw, vals in mins.items()]
     worst = float(np.min(mins[False] + mins[True]))
-    verdicts = [Verdict("geodesic convexity", worst, cfg.tol("z_convexity_floor"), ">=")]
+    verdicts = [Verdict("geodesic convexity", worst, ACCEPTANCE["z_convexity_floor"], ">=")]
     return Report("z-convexity", series, verdicts, ctx.environment())
 
 
 def _exp_concavity(ctx: _Ctx) -> Report:
     cfg = ctx.cfg
-    level = cfg.tol("concavity_level")
+    level = ACCEPTANCE["concavity_level"]
     ks = list(cfg.k_list)
 
     def max_hessian(k, lift, twisted):
@@ -374,15 +330,13 @@ def _exp_concavity(ctx: _Ctx) -> Report:
         k0s.append(next((k for k, good in zip(ks, ok) if good and all(ok[ks.index(k):])), None))
         series.append(_twist_series(ctx, "max hessian along projection path ({})", tw, vals))
     worst_k0 = math.inf if None in k0s else max(k0s)
-    verdicts = [Verdict("concavity threshold degree", float(worst_k0), float(cfg.tol("concavity_k0_max")))]
+    verdicts = [Verdict("concavity threshold degree", float(worst_k0), float(ACCEPTANCE["concavity_k0_max"]))]
     rep = Report("i-concavity", series, verdicts, ctx.environment())
     rep.notes.append(f"concavity holds from degree {k0s} on (identity, gradient twist)")
     return rep
 
 
 def _exp_compare(ctx: _Ctx) -> Report:
-    cfg = ctx.cfg
-
     def gap(k, lift, twisted):
         L = F.l_sigma_k(ctx.pot, k, lift)
         Z = F.z_sigma_k(Q.hilb(ctx.pot, k), ctx.grid, lift)
@@ -393,7 +347,7 @@ def _exp_compare(ctx: _Ctx) -> Report:
         for tw, vals in _sweep(ctx, gap).items()
     ]
     verdicts = [
-        Verdict(f"fit exponent ({TWISTS[tw]})", s.fit.exponent, cfg.tol("compare_fit_p"), ">=")
+        Verdict(f"fit exponent ({TWISTS[tw]})", s.fit.exponent, ACCEPTANCE["compare_fit_p"], ">=")
         for tw, s in zip(TWISTS, series)
     ]
     return Report("compare-LZ", series, verdicts, ctx.environment())
@@ -411,7 +365,6 @@ def _quantize_family(ctx: _Ctx):
 
 
 def _exp_quantize(ctx: _Ctx) -> Report:
-    cfg = ctx.cfg
     fam = _quantize_family(ctx)
     E_plain = np.array([F.mabuchi_energy(p) for p in fam])
     E_matched = E_plain + np.array([F.moment_energy(p, ctx.V) for p in fam])
@@ -427,7 +380,7 @@ def _exp_quantize(ctx: _Ctx) -> Report:
     identity = _twist_series(ctx, "max deviation ({} vs k-energy)", False, devs[False], fit=True)
     decreasing = all(b < a for a, b in zip(identity.values, identity.values[1:]))
     verdicts = [
-        Verdict("fit exponent (twisted)", twisted.fit.exponent, cfg.tol("quantize_fit_p"), ">="),
+        Verdict("fit exponent (twisted)", twisted.fit.exponent, ACCEPTANCE["quantize_fit_p"], ">="),
         Verdict("identity deviation decreasing", float(decreasing), 1.0, ">="),
     ]
     rep = Report("quantize-E", [twisted, identity], verdicts, ctx.environment())
@@ -441,7 +394,6 @@ def _exp_quantize(ctx: _Ctx) -> Report:
 
 
 def _exp_almost_balanced(ctx: _Ctx) -> Report:
-    cfg = ctx.cfg
     ref = G.zero_potential(ctx.grid)
 
     def slope_bound_chain(k, lift, twisted):
@@ -460,11 +412,11 @@ def _exp_almost_balanced(ctx: _Ctx) -> Report:
         chain += chains
     identity_fit = series[0].fit
     if identity_fit.flag == "exact":
-        verdicts = [Verdict("slope vanishes (exact)", 0.0, cfg.tol("exact_floor"))]
+        verdicts = [Verdict("slope vanishes (exact)", 0.0, ACCEPTANCE["exact_floor"])]
     else:
-        verdicts = [Verdict("slope decay", identity_fit.exponent, 0.9, ">=")]
+        verdicts = [Verdict("slope decay", identity_fit.exponent, ACCEPTANCE["slope_decay_p"], ">=")]
     chain_worst = float(np.min(chain))
-    verdicts.append(Verdict("convexity chain inequality", chain_worst, -cfg.tol("chain_slack"), ">="))
+    verdicts.append(Verdict("convexity chain inequality", chain_worst, -ACCEPTANCE["chain_slack"], ">="))
     rep = Report("almost-balanced", series, verdicts, ctx.environment())
     rep.notes.append(
         "at the reference round potential the identity-twist slope vanishes "
@@ -479,7 +431,7 @@ def _exp_minimization(ctx: _Ctx) -> Report:
     cfg = ctx.cfg
     groups = [("trivial", F.trivial_group()), ("circle", F.circle_group(ctx.V))]
     series, verdicts = [], []
-    floor = cfg.tol("minimization_floor")
+    floor = ACCEPTANCE["minimization_floor"]
     for gi, (name, grp) in enumerate(groups):
         rng = np.random.default_rng([cfg.seed, 13, gi])
         diffs = []
@@ -506,11 +458,16 @@ EXPERIMENTS = {
 
 
 def run_experiment(config: ExperimentConfig) -> Report:
-    """Run one named experiment; numerical aborts become failing verdicts."""
+    """Run one named experiment; numerical aborts become failing verdicts.
+
+    Floating-point overflow, invalid values and division by zero raise inside
+    the run, so they abort it rather than reach a verdict as inf or NaN.
+    """
     ctx = _Ctx(config)
     runner = EXPERIMENTS[config.experiment]
     try:
-        return runner(ctx)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return runner(ctx)
     except (G.KQuantError, Q.NotPositiveDefiniteError, FloatingPointError) as err:
         rep = Report(config.experiment, [], [Verdict("completed", 0.0, 1.0, ">=")], ctx.environment())
         rep.notes.append(f"aborted: {err}")

@@ -43,6 +43,7 @@ from kquant import (
     z_sigma_k,
     zero_potential,
 )
+from kquant.functionals import S_NODES, S_WEIGHTS
 
 V = rotation_field(1.0)
 
@@ -382,6 +383,37 @@ def test_energy_primitive_keeps_exact_profile(monkeypatch, bump):
     monkeypatch.setattr(kquant.functionals, "metric_data", spy)
     mabuchi_energy(bump)
     assert len(seen) == 32 and None not in seen
+
+
+@pytest.mark.parametrize("energy", ["moment", "relative"])
+def test_energy_fields_share_one_metric_data_per_node(monkeypatch, bump, energy):
+    import kquant.functionals
+    import kquant.geometry
+
+    # reference: the same rule, with the holomorphy potential building its
+    # own metric data at every node
+    def reduced(p, md):
+        theta = holomorphy_potential(V, p)
+        return (md.scalar - 2.0) - (md.integrate(md.scalar * theta) / md.integrate(theta * theta)) * theta
+
+    field = {"moment": lambda p, md: holomorphy_potential(V, p), "relative": lambda p, md: -reduced(p, md)}[energy]
+    path, want = linear_path(bump), 0.0
+    for s, w in zip(S_NODES, S_WEIGHTS):
+        p = path.phi(s)
+        md = metric_data(p)
+        want += w * md.integrate(path.dphi(s) * field(p, md))
+
+    calls = []
+
+    def spy(pot):
+        calls.append(pot)
+        return metric_data(pot)
+
+    monkeypatch.setattr(kquant.functionals, "metric_data", spy)
+    monkeypatch.setattr(kquant.geometry, "metric_data", spy)
+    got = moment_energy(bump, V) if energy == "moment" else modified_k_energy(bump, circle_group(V))
+    assert len(calls) == 32
+    assert got == float(want)
 
 
 # ---------------------------------------------------------------------------

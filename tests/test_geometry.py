@@ -34,7 +34,8 @@ def test_flat_scalar_curvature_exact(flat):
 def test_constant_potential_same_metric(radial, flat):
     md0 = metric_data(flat)
     mdc = metric_data(flat.shifted(0.37))
-    assert np.max(np.abs(mdc.a - md0.a)) < 1e-14
+    a0 = (1.0 - radial.u) ** 2  # A_phi = (1-u)^2 * density
+    assert np.max(np.abs(a0 * mdc.density - a0 * md0.density)) < 1e-14
     assert np.max(np.abs(mdc.scalar - md0.scalar)) < 1e-12
 
 
@@ -52,7 +53,7 @@ def test_gauss_bonnet_full2d(grid2d):
     pot = potential_from_values(grid2d, 0.02 * x1 + 0.01 * (grid2d.u**2)[:, None], invariant=False)
     md = metric_data(pot)
     assert abs(md.integrate(md.scalar) - SBAR) <= 1e-8
-    assert abs(md.integrate(np.ones_like(md.a)) - 1.0) <= 1e-10
+    assert abs(md.integrate(np.ones_like(md.density)) - 1.0) <= 1e-10
 
 
 def test_spectral_and_exact_profiles_agree(radial, bump):
@@ -121,32 +122,13 @@ def test_holomorphy_potential_normalization_and_residual(radial, bump):
     assert abs(md.integrate(theta)) <= 1e-10
     # defining equation: d theta = strength * A/(2 pi) d rho
     lhs = radial.d_drho(theta)
-    rhs = 0.7 * md.a / (2.0 * np.pi)
+    rhs = 0.7 * (1.0 - radial.u) ** 2 * md.density / (2.0 * np.pi)
     assert np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)) <= 1e-6
 
 
 def test_zero_field_gives_zero_potential(radial, bump):
     theta = holomorphy_potential(VectorFieldSpec(strength=0.0), bump)
     assert np.max(np.abs(theta)) == 0.0
-
-
-def test_custom_moment_profile_accepted_when_holomorphic(radial, flat):
-    mu = 3.0 * (radial.u - 0.5) / (2.0 * np.pi)
-    theta = holomorphy_potential(VectorFieldSpec(moment_values=mu), flat)
-    assert np.max(np.abs(theta - mu)) <= 1e-8
-
-
-def test_custom_moment_profile_on_full2d(grid2d):
-    # the moment profile is radial; the field comes back broadcast over the angle
-    mu = 3.0 * (grid2d.u - 0.5) / (2.0 * np.pi)
-    theta = holomorphy_potential(VectorFieldSpec(moment_values=mu), zero_potential(grid2d))
-    assert theta.shape == grid2d.shape
-    assert np.max(np.abs(theta - mu[:, None])) <= 1e-8
-
-
-def test_non_holomorphic_moment_rejected(radial, flat):
-    with pytest.raises(KQuantError, match="holomorphic"):
-        holomorphy_potential(VectorFieldSpec(moment_values=radial.u**2), flat)
 
 
 def test_lift_group_law_and_identity(radial):

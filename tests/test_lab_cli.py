@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,16 +12,21 @@ import pytest
 from kquant import (
     ACCEPTANCE,
     EXPERIMENTS,
+    SBAR,
     ExperimentConfig,
     KQuantError,
     Report,
     Series,
     Verdict,
-    calibrate_twist_constant,
     emit_report,
     fit_power_law,
+    holomorphy_potential,
+    metric_data,
+    psi_potential,
     report_from_json,
+    rotation_field,
     run_experiment,
+    sigma_lift,
 )
 from kquant.cli import main as cli_main
 from kquant.reporting import CSV_HEADER
@@ -54,11 +60,11 @@ def test_fit_power_law_rejects_non_finite(bad):
 
 
 def test_bergman_expansion_with_overflowing_degree_does_not_pass():
-    # the k = 1024 density overflows to NaN on the default grid; a NaN in the
-    # series must fail the run rather than drop out of the fit
+    # the k = 1024 density overflows on the default grid; the overflow must
+    # abort the run rather than reach the fit as a NaN
     rep = run_experiment(ExperimentConfig("bergman-expansion", k_list=(128, 256, 512, 1024)))
     assert not rep.passed
-    assert any("non-finite" in n for n in rep.notes)
+    assert any("overflow" in n for n in rep.notes)
 
 
 def test_fit_power_law_exact_floor_flag():
@@ -103,6 +109,21 @@ def test_config_accepts_resolved_full2d_degrees():
     )
     assert cfg.k_list == (16, 32, 48)
     ExperimentConfig("almost-balanced", grid_mode="full2d", resolution=96, n_theta=64, k_list=(63,))
+
+
+def test_config_fields_pinned():
+    # the twist and the acceptance thresholds are not settable
+    assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
+        "experiment",
+        "k_list",
+        "grid_mode",
+        "resolution",
+        "n_theta",
+        "potential",
+        "seed",
+        "out_dir",
+        "formats",
+    ]
 
 
 def test_experiment_registry_complete():
@@ -212,10 +233,35 @@ def test_exact_series_flagged():
     assert rep.passed
 
 
-def test_calibrated_rate_constant(radial, bump):
-    from kquant import rotation_field
+def calibrate_twist_constant(pot, V, k: int = 48, window: tuple[float, float] = (-2.5, -0.5)) -> float:
+    """Golden-section fit of the twist rate constant.
 
-    c0 = calibrate_twist_constant(radial, bump, rotation_field(1.0), k=48)
+    Minimizes the sup-residual of the degree-k twist potential expansion
+    kappa = sup |k psi_k - (theta + 2)/2| over the rate constant; the
+    minimizer sits at -pi/2 for the gradient conventions used here.
+    """
+    md = metric_data(pot)
+    target = (holomorphy_potential(V, pot, md) + SBAR) / 2.0
+
+    def resid(c0):
+        psi = psi_potential(sigma_lift(V, k, 1.0, rate_constant=c0), pot, md=md)
+        return float(np.max(np.abs(k * psi.values - target)))
+
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = window
+    c, d = b - gr * (b - a), a + gr * (b - a)
+    for _ in range(40):
+        if resid(c) < resid(d):
+            b, d = d, c
+            c = b - gr * (b - a)
+        else:
+            a, c = c, d
+            d = a + gr * (b - a)
+    return 0.5 * (a + b)
+
+
+def test_calibrated_rate_constant(bump):
+    c0 = calibrate_twist_constant(bump, rotation_field(1.0), k=48)
     assert abs(c0 - (-math.pi / 2.0)) <= 0.05
 
 
@@ -250,11 +296,10 @@ def test_cli_config_file_and_overrides(tmp_path, capsys):
     cfg = tmp_path / "lab.cfg"
     cfg.write_text(
         "# demo config\n"
-        "k_list = 8 16 32\n"
+        "k_list = 128 256 512 1024\n"  # k = 1024 overflows: forces a failing verdict
         "resolution = 128\n"
         "seed = 9\n"
         "potential = 0.05 -0.07\n"
-        "tol.bergman_fit_p = 5.0\n"  # unreachable: forces a failing verdict
     )
     rc = cli_main(
         ["run", "--experiment", "bergman-expansion", "--config", str(cfg), "--out", str(tmp_path)]
@@ -289,8 +334,11 @@ def test_cli_unknown_grid_mode_fails_before_running(tmp_path, capsys):
         (None, [], "bad.cfg"),
         ("", ["--k", "8,x"], "'x'"),
         ("group = circle\n", [], "'group'"),
+        ("twist_rate = -1.5\n", [], "'twist_rate'"),
+        ("calibrate = true\n", [], "'calibrate'"),
+        ("tol.bergman_fit_p = 5.0\n", [], "'tol.bergman_fit_p'"),
     ],
-    ids=["no-equals", "non-numeric", "missing-file", "bad-k", "removed-key"],
+    ids=["no-equals", "non-numeric", "missing-file", "bad-k", "removed-key", "twist-rate", "calibrate", "tolerance"],
 )
 def test_cli_invalid_config_line(tmp_path, capsys, text, flags, names):
     cfg = tmp_path / "bad.cfg"

@@ -177,7 +177,8 @@ def test_psi_normalization_and_curvature_residual(radial, bump):
     assert abs(md.integrate(np.exp(psi.values)) - nu) <= 1e-12
     # i ddbar psi must equal the pullback defect of the form
     pulled = lift.pullback_potential(bump)
-    lhs = (metric_data(pulled).a - md.a) / (2.0 * np.pi)
+    a0 = (1.0 - radial.u) ** 2  # A_phi = (1-u)^2 * density
+    lhs = (a0 * metric_data(pulled).density - a0 * md.density) / (2.0 * np.pi)
     rhs = radial.ddbar(psi.values)
     assert np.max(np.abs(lhs - rhs)) <= 1e-8
 
