@@ -181,12 +181,12 @@ def circle_group(V: VectorFieldSpec | None = None) -> GroupSpec:
 
 
 def i_k(form: HermForm, grid) -> float:
-    """log det relative to the base Gram form at the zero potential."""
-    sign, logdet = np.linalg.slogdet(form.entries)
-    if sign.real <= 0:
-        raise NotPositiveDefiniteError("form must be positive definite")
-    sign0, logdet0 = np.linalg.slogdet(hilb(zero_potential(grid), form.degree).entries)
-    return float(logdet - logdet0)
+    """log det relative to the base Gram form at the zero potential.
+
+    On a radial grid both forms are diagonal and this is sum_j log h_j -
+    sum_j log B(j+1, k-j+1).
+    """
+    return grid.log_det(form) - grid.log_det(hilb(zero_potential(grid), form.degree))
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +372,16 @@ class GeodesicInB:
 
     ``coeffs`` columns hold the sections tau_a (monomial coefficients) that
     are H0-orthonormal and H1-diagonalizing; along the geodesic
-    H(tau_a, tau_b)(s) = delta_ab e^{2 lambda_a s}.
+    H(tau_a, tau_b)(s) = delta_ab e^{2 lambda_a s}.  Between two diagonal
+    forms the monomials are that basis up to scale, ``coeffs`` is None and
+    log h_j(s) = log h0_j + 2 lambda_j s; dense geodesics contract only
+    against the full 2D grid.
     """
 
     H0: HermForm
     H1: HermForm
     lambdas: np.ndarray
-    coeffs: np.ndarray
+    coeffs: np.ndarray | None
 
     @property
     def degree(self) -> int:
@@ -389,15 +392,23 @@ class GeodesicInB:
         return float(np.sqrt(np.sum((2.0 * self.lambdas) ** 2)))
 
     def form_at(self, s: float) -> HermForm:
+        if self.coeffs is None:
+            return HermForm(None, self.degree, log_diag=self.H0.log_diag + 2.0 * self.lambdas * s)
         Tinv = np.linalg.inv(self.coeffs)
         mid = np.diag(np.exp(2.0 * self.lambdas * s))
         return HermForm(entries=Tinv.conj().T @ mid @ Tinv, degree=self.degree)
 
 
 def bk_geodesic(H0: HermForm, H1: HermForm) -> GeodesicInB:
-    """Geodesic through Cholesky whitening and a Hermitian eigensplit."""
+    """Geodesic between positive forms.
+
+    Two diagonal forms give lambda = (log h1 - log h0)/2 directly; otherwise
+    through Cholesky whitening and a Hermitian eigensplit.
+    """
     if H0.degree != H1.degree:
         raise KQuantError("geodesic endpoints must share a degree")
+    if H0.log_diag is not None and H1.log_diag is not None:
+        return GeodesicInB(H0=H0, H1=H1, lambdas=0.5 * (H1.log_diag - H0.log_diag), coeffs=None)
     L = H0.cholesky()
     Linv = np.linalg.inv(L)
     M = Linv @ (0.5 * (H1.entries + H1.entries.conj().T)) @ Linv.conj().T
@@ -409,13 +420,13 @@ def bk_geodesic(H0: HermForm, H1: HermForm) -> GeodesicInB:
     return GeodesicInB(H0=H0, H1=H1, lambdas=lambdas, coeffs=coeffs)
 
 
-def _section_density_split(geo: GeodesicInB, grid, s: float) -> tuple[np.ndarray, np.ndarray]:
-    """(sum_a e^{-2 lam_a s}|tau_a|^2, sum_a 2 lam_a e^{-2 lam_a s}|tau_a|^2)."""
+def _section_slope(geo: GeodesicInB, grid, s: float) -> np.ndarray:
+    """sum_a 2 lam_a e^{-2 lam_a s}|tau_a|^2 / sum_a e^{-2 lam_a s}|tau_a|^2 at the nodes."""
+    if geo.coeffs is None:
+        return grid.section_mean(geo.degree, geo.H0.log_diag + 2.0 * geo.lambdas * s, 2.0 * geo.lambdas)
     tau_sq = grid.section_table(geo.degree, geo.coeffs)
     w = np.exp(-2.0 * geo.lambdas * s)
-    dens = tau_sq @ w
-    slope = tau_sq @ (2.0 * geo.lambdas * w)
-    return dens, slope
+    return (tau_sq @ (2.0 * geo.lambdas * w)) / (tau_sq @ w)
 
 
 def z_first_variation(
@@ -430,8 +441,7 @@ def z_first_variation(
     k = geo.degree
     lift = identity_lift(k) if lift is None else lift
     pot = fs(geo.form_at(s), grid)
-    dens, slope = _section_density_split(geo, grid, s)
-    vel = -slope / (k * dens)
+    vel = -_section_slope(geo, grid, s) / k
     return delta_i_sigma(pot, vel, k, lift) + float(2.0 * np.sum(geo.lambdas))
 
 
@@ -492,8 +502,7 @@ def fk_prime(
     geo = bk_geodesic(H_star, H)
     grid = pot.grid
     md = metric_data(pot_star)
-    dens, slope_dens = _section_density_split(geo, grid, 0.0)
-    ratio = slope_dens / (2.0 * dens)  # sum lam |tau|^2 / sum |tau|^2
+    ratio = 0.5 * _section_slope(geo, grid, 0.0)  # sum lam |tau|^2 / sum |tau|^2
     psi = psi_potential(lift, pot_star, md=md)
     epsi = psi.exp()
     op = k * epsi + md.laplace(epsi)

@@ -57,9 +57,9 @@ __all__ = [
 VOLUME = 1.0
 SBAR = 2.0
 
-# Calibrated time normalization of the degree-k twist flow: sigma_k(t) is the
-# flow of -(c0/k) V at time t.  With the rotation-moment normalization used
-# here the exponent is -c0 t/(2 pi k), i.e. a chart dilation by e^{t/(4k)}.
+# Calibrated time normalization of the degree-k twist flow: sigma_k is the
+# time-one flow of -(c0/k) V.  With the rotation-moment normalization used
+# here the exponent is -c0/(2 pi k), i.e. a chart dilation by e^{1/(4k)}.
 TWIST_RATE_DEFAULT = -np.pi / 2.0
 
 
@@ -425,19 +425,17 @@ def identity_lift(k: int) -> AutomorphismLift:
     return AutomorphismLift(scale=1.0, degree=k)
 
 
-def sigma_lift(
-    V: VectorFieldSpec, k: int, t: float = 1.0, rate_constant: float = TWIST_RATE_DEFAULT
-) -> AutomorphismLift:
-    """Degree-k twist automorphism: the flow of -(c0/k) V at time t.
+def sigma_lift(V: VectorFieldSpec, k: int) -> AutomorphismLift:
+    """Degree-k twist automorphism: the time-one flow of -(c0/k) V.
 
     For the standard generator the point map is the dilation
-    z -> exp(-c0 strength t / (2 pi k)) z.  ``rate_constant`` is the
-    calibrated c0 (default -pi/2, which makes k psi_k converge to
-    (theta + 2)/2; see quantize.psi_potential).
+    z -> exp(-c0 strength / (2 pi k)) z, with c0 the calibrated
+    TWIST_RATE_DEFAULT = -pi/2, which makes k psi_k converge to
+    (theta + 2)/2; see quantize.psi_potential.
     """
     if k < 1:
         raise KQuantError("degree k must be at least 1")
     if V.is_zero:
         return identity_lift(k)
-    lam = V.flow_scale(-rate_constant * t / k)
+    lam = V.flow_scale(-TWIST_RATE_DEFAULT / k)
     return AutomorphismLift(scale=lam, degree=k)

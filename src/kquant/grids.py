@@ -13,9 +13,13 @@ integrals accurate); invariant and even-frequency fields resolve to
 roundoff.
 
 The two grid classes share one set of methods (field shape, broadcasting of
-radial profiles, base Laplacian and gradient pairing, rotation, section
-tables), so this module is the only one that knows which kind of grid it
-holds.
+radial profiles, base Laplacian and gradient pairing, rotation, Gram forms
+and their contractions), so this module is the only one that knows which
+kind of grid it holds.  A radial grid holds its Gram forms as the
+log-diagonal log h_j in the monomial basis and contracts them by
+log-sum-exp, with no matrix factorization and no overflow at high degree;
+the full 2D grid holds dense P^dagger P forms and contracts them through a
+Cholesky factor.
 """
 
 from __future__ import annotations
@@ -44,6 +48,10 @@ class KQuantError(ValueError):
 
 
 class GridError(KQuantError):
+    pass
+
+
+class NotPositiveDefiniteError(KQuantError):
     pass
 
 
@@ -177,34 +185,63 @@ class RadialGrid:
         j = np.arange(k + 1)
         return j[None, :] * np.log(self.u)[:, None] + (k - j)[None, :] * np.log1p(-self.u)[:, None]
 
-    def gram(self, k: int, weight: np.ndarray) -> np.ndarray:
-        """sum_nodes weight (s_a, s_b): diagonal, since radial weights kill a != b."""
-        integrand = np.exp(self.log_section_norms(k)) * weight[:, None]
-        return np.diag(integrand.sum(axis=0)).astype(complex)
+    def _peak_sections(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(|s_j|^2 / max_u |s_j|^2 at the nodes, log max_u |s_j|^2).
 
-    def _monomials(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Degree and magnitude of the single monomial in each column of coeffs.
-
-        Only single-monomial sections have circle-invariant norms |tau|^2.
+        The maximum of u^j (1-u)^{k-j} sits at u = j/k, so every table entry
+        lies in [0, 1] and sums over either index stay in double range.
         """
-        mags = np.abs(coeffs)
-        peak = mags.max(axis=0)
-        if np.any(mags.sum(axis=0) - peak > 1e-10 * peak):
+        j = np.arange(1, k)
+        peak = np.zeros(k + 1)
+        peak[1:k] = j * np.log(j / k) + (k - j) * np.log1p(-j / k)
+        return np.exp(self.log_section_norms(k) - peak), peak
+
+    def _contract(self, k: int, log_h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """(table, terms, shift) with sum_j |s_j|^2 / h_j e^{-shift} = table @ terms."""
+        table, peak = self._peak_sections(k)
+        g = peak - log_h
+        shift = float(np.max(g))
+        return table, np.exp(g - shift), shift
+
+    def _log_diagonal(self, form) -> np.ndarray:
+        """log h_j of a form contracted here; a dense form is checked and converted.
+
+        Circle-invariant weights pair only equal monomials, so a form this grid
+        can contract is diagonal in the monomial basis.
+        """
+        if form.log_diag is not None:
+            return form.log_diag
+        diag = np.diagonal(form.entries)
+        if np.max(np.abs(form.entries - np.diag(diag))) > 1e-10 * np.max(np.abs(diag)):
             raise KQuantError(
-                "sections mixing monomials contracted against a radial grid; "
+                "non-diagonal form contracted against a radial grid; "
                 "use the full 2D grid for non-invariant data"
             )
-        return np.argmax(mags, axis=0), peak
+        if not np.all(diag.real > 0.0):
+            raise NotPositiveDefiniteError("form is not positive definite")
+        return np.log(diag.real)
 
-    def section_table(self, k: int, coeffs: np.ndarray) -> np.ndarray:
-        """|tau_a|^2 at the nodes for tau_a = sum_j coeffs[j, a] s_j, shape (n_u, N)."""
-        top, peak = self._monomials(coeffs)
-        return np.exp(self.log_section_norms(k))[:, top] * peak**2
+    def gram(self, k: int, weight: np.ndarray) -> tuple[None, np.ndarray]:
+        """(None, log h_j) with h_j = sum_nodes weight |s_j|^2.
 
-    def section_density(self, k: int, coeffs: np.ndarray) -> np.ndarray:
-        """sum_a |tau_a|^2 at the nodes, in O(n_u k)."""
-        top, peak = self._monomials(coeffs)
-        return np.exp(self.log_section_norms(k)) @ np.bincount(top, peak**2, minlength=k + 1)
+        Radial weights kill every pairing of distinct monomials, so the form
+        is its diagonal.
+        """
+        table, peak = self._peak_sections(k)
+        return None, peak + np.log(weight @ table)
+
+    def log_density(self, form) -> np.ndarray:
+        """log sum_j |s_j|^2 / h_j at the nodes: the contraction with H^{-1}."""
+        table, terms, shift = self._contract(form.degree, self._log_diagonal(form))
+        return shift + np.log(table @ terms)
+
+    def section_mean(self, k: int, log_h: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """sum_j values_j |s_j|^2 / h_j over sum_j |s_j|^2 / h_j at the nodes."""
+        table, terms, _ = self._contract(k, log_h)
+        return (table @ (values * terms)) / (table @ terms)
+
+    def log_det(self, form) -> float:
+        return float(np.sum(self._log_diagonal(form)))
 
 
 @dataclass(frozen=True)
@@ -301,19 +338,34 @@ class Full2DGrid:
         phase = np.exp(1j * self.theta[:, None] * np.arange(k + 1)[None, :])  # (n_theta, k+1)
         return (mag[:, None, :] * phase[None, :, :]).reshape(-1, k + 1)
 
-    def gram(self, k: int, weight: np.ndarray) -> np.ndarray:
-        """sum_nodes weight (s_a, s_b), assembled as P^dagger P (Hermitian PSD)."""
+    def gram(self, k: int, weight: np.ndarray) -> tuple[np.ndarray, None]:
+        """(sum_nodes weight (s_a, s_b), None), assembled as P^dagger P (Hermitian PSD)."""
         P = self._sections(k) * np.sqrt(weight.ravel())[:, None]
-        return P.conj().T @ P
+        return P.conj().T @ P, None
 
     def section_table(self, k: int, coeffs: np.ndarray) -> np.ndarray:
         """|tau_a|^2 at the nodes for tau_a = sum_j coeffs[j, a] s_j, shape (n_u, n_theta, N)."""
         B = self._sections(k) @ coeffs
         return (np.abs(B) ** 2).reshape(self.shape + (coeffs.shape[1],))
 
-    def section_density(self, k: int, coeffs: np.ndarray) -> np.ndarray:
-        """sum_a |tau_a|^2 at the nodes."""
-        return self.section_table(k, coeffs).sum(axis=-1)
+    def log_density(self, form) -> np.ndarray:
+        """log sum_{ab} (H^{-1})_{ba} (s_a, s_b) at the nodes.
+
+        With H = L L^dagger the columns of L^{-dagger} are an H-orthonormal
+        basis, whose squared norms sum to the contraction.
+        """
+        Linv = np.linalg.inv(form.cholesky())
+        return np.log(self.section_table(form.degree, Linv.conj().T).sum(axis=-1))
+
+    def section_mean(self, k: int, log_h: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """The radial section mean of a diagonal form; |s_j|^2 carries no angle."""
+        return self.broadcast(self.radial.section_mean(k, log_h, values))
+
+    def log_det(self, form) -> float:
+        sign, logdet = np.linalg.slogdet(form.entries)
+        if sign.real <= 0:
+            raise NotPositiveDefiniteError("form must be positive definite")
+        return float(logdet)
 
 
 def check_grid(mode: str, resolution: int, n_theta: int, degree: int) -> None:

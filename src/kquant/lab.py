@@ -227,9 +227,7 @@ def _exp_psi(ctx: _Ctx) -> Report:
         Verdict("series decreasing", float(decreasing), 1.0, ">="),
         Verdict("final vs fit prediction", factor, ACCEPTANCE["psi_final_factor"]),
     ]
-    rep = Report("psi-expansion", series, verdicts, ctx.environment())
-    rep.notes.append(f"twist rate constant {TWIST_RATE_DEFAULT:.6f} (expected -pi/2 = {-math.pi/2:.6f})")
-    return rep
+    return Report("psi-expansion", series, verdicts, ctx.environment())
 
 
 def _three_path_defect(ctx: _Ctx, k: int, twisted: bool) -> float:
@@ -298,12 +296,8 @@ def _exp_z_convexity(ctx: _Ctx) -> Report:
         rng = np.random.default_rng([cfg.seed, 77, k, int(twisted)])
         vals = []
         for _ in range(20):
-            d0 = np.exp(rng.uniform(-1.0, 1.0, k + 1))
-            d1 = np.exp(rng.uniform(-1.0, 1.0, k + 1))
-            geo = F.bk_geodesic(
-                Q.HermForm(np.diag(d0).astype(complex), k),
-                Q.HermForm(np.diag(d1).astype(complex), k),
-            )
+            H0, H1 = (Q.HermForm(None, k, log_diag=rng.uniform(-1.0, 1.0, k + 1)) for _ in range(2))
+            geo = F.bk_geodesic(H0, H1)
             vals.append(F.z_second_derivative_fd(geo, ctx.grid, lift, s=0.5))
         return float(np.min(vals))
 

@@ -32,6 +32,7 @@ from .geometry import (
     metric_data,
     sections_dim,
 )
+from .grids import NotPositiveDefiniteError
 
 __all__ = [
     "HermForm",
@@ -50,21 +51,31 @@ __all__ = [
 ]
 
 
-class NotPositiveDefiniteError(KQuantError):
-    pass
-
-
 @dataclass(frozen=True)
 class HermForm:
-    """Positive definite Hermitian form on the degree-k section space."""
+    """Positive definite Hermitian form on the degree-k section space.
 
-    entries: np.ndarray
+    A form diagonal in the monomial basis, as every Gram form of a radial
+    grid is, carries its log-diagonal ``log_diag``; consumers read that and
+    never factor ``entries``.  Built with ``entries=None``, such a form fills
+    ``entries`` with its dense diagonal, whose values may under- or overflow
+    at high degree where ``log_diag`` stays exact.
+    """
+
+    entries: np.ndarray | None
     degree: int
+    log_diag: np.ndarray | None = field(default=None, kw_only=True)
 
     def __post_init__(self):
         if self.degree < 1:
             raise KQuantError("degree k must be at least 1")
         n = sections_dim(self.degree)
+        if self.entries is None:
+            if self.log_diag is None or self.log_diag.shape != (n,):
+                raise KQuantError(f"a diagonal form of degree {self.degree} needs {n} log-diagonal values")
+            entries = np.zeros((n, n), dtype=complex)
+            np.fill_diagonal(entries, np.exp(self.log_diag))
+            object.__setattr__(self, "entries", entries)
         if self.entries.shape != (n, n):
             raise KQuantError(f"form shape {self.entries.shape} does not match degree {self.degree}")
 
@@ -76,6 +87,8 @@ class HermForm:
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
 
     def min_eigenvalue(self) -> float:
+        if self.log_diag is not None:
+            return float(np.exp(np.min(self.log_diag)))
         return float(np.linalg.eigvalsh(0.5 * (self.entries + self.entries.conj().T)).min())
 
     def cholesky(self) -> np.ndarray:
@@ -85,6 +98,8 @@ class HermForm:
             raise NotPositiveDefiniteError("form is not positive definite") from None
 
     def scaled(self, c: float) -> "HermForm":
+        if self.log_diag is not None and c > 0.0:
+            return HermForm(None, self.degree, log_diag=self.log_diag + np.log(c))
         return HermForm(entries=c * self.entries, degree=self.degree)
 
 
@@ -124,23 +139,14 @@ def load_herm_form(path) -> HermForm:
 def hilb(pot: Potential, k: int, md: MetricData | None = None) -> HermForm:
     """L^2 Gram form of the degree-k sections against e^{-k phi} d mu_phi.
 
-    Circle-invariant input on a radial grid gives a diagonal form in the
-    monomial basis; the full 2D grid assembles the Gram matrix as P^dagger P
-    so the result is Hermitian positive semidefinite by construction.
+    The grid chooses the form: a radial grid returns the log-diagonal of the
+    (diagonal) monomial Gram form; the full 2D grid assembles the Gram
+    matrix as P^dagger P, Hermitian positive semidefinite by construction.
     """
     md = metric_data(pot) if md is None else md
     weight = np.exp(-k * pot.values) * md.volume_weights
-    return HermForm(entries=pot.grid.gram(k, weight), degree=k)
-
-
-def _inverse_contraction(form: HermForm, grid) -> np.ndarray:
-    """sum_{ab} (H^{-1})_{ba} (s_a, s_b)(z) at the grid nodes.
-
-    With H = L L^dagger the columns of L^{-dagger} are an H-orthonormal basis,
-    whose squared norms sum to the contraction.
-    """
-    Linv = np.linalg.inv(form.cholesky())
-    return grid.section_density(form.degree, Linv.conj().T)
+    entries, log_diag = pot.grid.gram(k, weight)
+    return HermForm(entries, k, log_diag=log_diag)
 
 
 def fs(form: HermForm, grid) -> Potential:
@@ -150,8 +156,7 @@ def fs(form: HermForm, grid) -> Potential:
     pointwise pairing table with H^{-1}, so the result does not depend on
     which orthonormal basis a factorization produces.
     """
-    dens = _inverse_contraction(form, grid)
-    vals = np.log(dens / form.dimension) / form.degree
+    vals = (grid.log_density(form) - np.log(form.dimension)) / form.degree
     invariant = bool(np.allclose(vals, grid.broadcast(grid.radial_part(vals)), atol=1e-13))
     return Potential(grid, vals, invariant=invariant)
 
@@ -170,8 +175,7 @@ class BergmanField:
 def bergman(pot: Potential, k: int, md: MetricData | None = None, form: HermForm | None = None) -> BergmanField:
     """rho_k(phi) = e^{-k phi} * contraction of the base pairing with H^{-1}."""
     form = hilb(pot, k, md=md) if form is None else form
-    dens = _inverse_contraction(form, pot.grid)
-    return BergmanField(values=dens * np.exp(-k * pot.values), degree=k)
+    return BergmanField(values=np.exp(pot.grid.log_density(form) - k * pot.values), degree=k)
 
 
 # ---------------------------------------------------------------------------

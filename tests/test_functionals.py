@@ -49,7 +49,7 @@ V = rotation_field(1.0)
 
 
 def diag_form(rng, k, spread=1.0):
-    return HermForm(np.diag(np.exp(rng.uniform(-spread, spread, k + 1))).astype(complex), k)
+    return HermForm(None, k, log_diag=rng.uniform(-spread, spread, k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +100,7 @@ def test_geodesic_rejects_bad_endpoints(radial):
 def test_delta_constant_direction_closed_form(radial, bump):
     c = 0.37
     for k in (4, 9):
-        for lift in (identity_lift(k), sigma_lift(V, k, 1.0)):
+        for lift in (identity_lift(k), sigma_lift(V, k)):
             val = delta_i_sigma(bump, np.full_like(bump.values, c), k, lift)
             assert abs(val - c * k * sections_dim(k)) <= 1e-9 * k * k
 
@@ -145,7 +145,7 @@ def test_gradient_check_gradient_twist(radial, bump):
     rng = np.random.default_rng(12)
     worst = {}
     for k in (8, 16):
-        lift = sigma_lift(V, k, 1.0)
+        lift = sigma_lift(V, k)
         defects = []
         for _ in range(10):
             d = potential_from_radial_coeffs(radial, rng.uniform(-0.4, 0.4, 4)).values
@@ -206,7 +206,7 @@ def test_twisted_path_defect_is_second_order(radial, bump):
     mid = potential_from_radial_coeffs(radial, [-0.02, 0.04, 0.015, -0.01])
 
     def defect(k):
-        lift = sigma_lift(V, k, 1.0)
+        lift = sigma_lift(V, k)
         a = i_sigma_k(bump, k, lift, path=linear_path(bump))
         b = i_sigma_k(bump, k, lift, path=two_leg_path(mid, bump))
         return abs(b - a) / abs(a)
@@ -269,7 +269,7 @@ def test_delta_l_matches_fd(radial, bump):
     rng = np.random.default_rng(14)
     eps = 1e-4
     for k in (8, 16):
-        for lift, bound in ((identity_lift(k), 1e-6), (sigma_lift(V, k, 1.0), 5e-5)):
+        for lift, bound in ((identity_lift(k), 1e-6), (sigma_lift(V, k), 5e-5)):
             d = potential_from_radial_coeffs(radial, rng.uniform(-0.4, 0.4, 4)).values
             formula = delta_l_sigma(bump, d, k, lift)
             plus = l_sigma_k(bump.with_values(bump.values + eps * d), k, lift)
@@ -425,7 +425,7 @@ def test_z_first_variation_matches_fd(radial):
     k = 8
     geo = bk_geodesic(diag_form(rng, k, 0.8), diag_form(rng, k, 0.8))
     s0, h = 0.37, 1e-3
-    for lift, tol in ((identity_lift(k), 1e-5), (sigma_lift(V, k, 1.0), 5e-3)):
+    for lift, tol in ((identity_lift(k), 1e-5), (sigma_lift(V, k), 5e-3)):
         dz = z_first_variation(geo, radial, s0, lift)
         fd = (
             z_sigma_k(geo.form_at(s0 + h), radial, lift)
@@ -437,7 +437,7 @@ def test_z_first_variation_matches_fd(radial):
 def test_z_convexity_fd(radial):
     rng = np.random.default_rng(8)
     for k in (6, 12):
-        for lift in (identity_lift(k), sigma_lift(V, k, 1.0)):
+        for lift in (identity_lift(k), sigma_lift(V, k)):
             geo = bk_geodesic(diag_form(rng, k), diag_form(rng, k))
             assert z_second_derivative_fd(geo, radial, lift, s=0.5) >= -1e-8
 
@@ -460,7 +460,7 @@ def test_hessian_matches_fd(radial, bump):
     acc = potential_from_radial_coeffs(radial, rng.uniform(-0.03, 0.03, 4)).values
     path = quadratic_path(bump, vel, acc)
     s0, h = 0.5, 0.02
-    for lift in (identity_lift(k), sigma_lift(V, k, 1.0)):
+    for lift in (identity_lift(k), sigma_lift(V, k)):
         formula = i_sigma_hessian(path, s0, k, lift)
         ivals = [i_sigma_k(path.phi(s0 + d), k, lift) for d in (-h, 0.0, h)]
         fd = (ivals[0] - 2 * ivals[1] + ivals[2]) / h**2
@@ -470,7 +470,7 @@ def test_hessian_matches_fd(radial, bump):
 def test_concavity_along_projection_path(radial, bump):
     for k in (8, 32):
         path = bergman_path(bump, k)
-        for lift in (identity_lift(k), sigma_lift(V, k, 1.0)):
+        for lift in (identity_lift(k), sigma_lift(V, k)):
             vals = [i_sigma_hessian(path, s, k, lift) for s in (0.0, 0.5, 1.0)]
             assert max(vals) < 0.0
 
@@ -501,7 +501,7 @@ def test_fk_prime_vanishes_at_round_reference(radial, flat, bump):
 
 def test_fk_prime_chain_inequality(radial, flat, bump):
     for k in (8, 32):
-        for lift in (identity_lift(k), sigma_lift(V, k, 1.0)):
+        for lift in (identity_lift(k), sigma_lift(V, k)):
             slope, _ = fk_prime(bump, flat, k, lift)
             gap = (
                 z_sigma_k(hilb(bump, k), radial, lift)
@@ -522,7 +522,7 @@ def test_fk_prime_agrees_with_z_slope_identity_twist(radial, flat, bump):
 
 @pytest.mark.parametrize("k", [4, 12, 32])
 def test_fk_prime_agrees_with_z_slope_gradient_twist(radial, flat, bump, k):
-    lift = sigma_lift(V, k, 1.0)
+    lift = sigma_lift(V, k)
     geo = bk_geodesic(hilb(flat, k), hilb(bump, k))
     dz = z_first_variation(geo, radial, 0.0, lift)
     slope, _ = fk_prime(bump, flat, k, lift)

@@ -131,14 +131,19 @@ def test_zero_field_gives_zero_potential(radial, bump):
     assert np.max(np.abs(theta)) == 0.0
 
 
+def flow_lift(V, k, t):
+    """The time-t flow of the degree-k twist field; sigma_lift(V, k) is time one."""
+    return AutomorphismLift(scale=V.flow_scale(-TWIST_RATE_DEFAULT * t / k), degree=k)
+
+
 def test_lift_group_law_and_identity(radial):
     V = rotation_field(1.0)
-    a = sigma_lift(V, 4, 0.3)
-    b = sigma_lift(V, 4, 0.7)
-    c = sigma_lift(V, 4, 1.0)
+    a = flow_lift(V, 4, 0.3)
+    b = flow_lift(V, 4, 0.7)
+    c = sigma_lift(V, 4)
     assert abs(a.compose(b).scale - c.scale) <= 1e-10
     assert np.max(np.abs(a.compose(a.inverse()).section_matrix - np.eye(5))) <= 1e-12
-    ident = sigma_lift(VectorFieldSpec(strength=0.0), 4, 1.0)
+    ident = sigma_lift(VectorFieldSpec(strength=0.0), 4)
     assert ident.is_identity
     assert np.max(np.abs(ident.base_potential(radial))) == 0.0
 
@@ -148,7 +153,7 @@ def test_lift_point_map_matches_flow_ode():
     # compare against the closed-form point map
     V = rotation_field(1.0)
     k, t = 4, 1.0
-    lift = sigma_lift(V, k, t)
+    lift = sigma_lift(V, k)
     rate = -TWIST_RATE_DEFAULT * 1.0 / (2.0 * np.pi * k)
     z = 1.3 + 0.4j
     n, h = 400, t / 400
@@ -169,8 +174,8 @@ def test_lift_flow_consistency_fd(radial):
     k = 6
     h = 1e-6
     z = radial.rho[100] ** 0.5
-    plus = sigma_lift(V, k, h).map_points(z)
-    minus = sigma_lift(V, k, -h).map_points(z)
+    plus = flow_lift(V, k, h).map_points(z)
+    minus = flow_lift(V, k, -h).map_points(z)
     gen = (plus - minus) / (2.0 * h)
     rate = -TWIST_RATE_DEFAULT / (2.0 * np.pi * k)
     assert abs(gen - rate * z) <= 1e-8

@@ -8,7 +8,7 @@ other kind built on the same radial nodes, and with the closed form.
 import numpy as np
 import pytest
 
-from kquant import build_grid
+from kquant import HermForm, build_grid
 
 
 @pytest.fixture(params=["radial", "grid2d"])
@@ -55,13 +55,9 @@ def test_base_laplace_and_pairing_of_u_squared(grid):
 def test_round_metric_section_densities_sum_to_dimension(grid, k):
     densities = []
     for g in (grid, twin(grid)):
-        H = g.gram(k, g.weights)
-        C = np.linalg.inv(np.linalg.cholesky(H)).conj().T
-        dens = g.section_density(k, C)
+        entries, log_diag = g.gram(k, g.weights)
+        dens = np.exp(g.log_density(HermForm(entries, k, log_diag=log_diag)))
         assert dens.shape == g.shape
         assert np.max(np.abs(dens - (k + 1))) <= 1e-9
-        table = g.section_table(k, C)
-        assert table.shape == g.shape + (k + 1,)
-        assert np.max(np.abs(table.sum(axis=-1) - dens)) <= 1e-9
         densities.append(g.radial_part(dens))
     assert np.max(np.abs(densities[0] - densities[1])) <= 1e-9

@@ -11,6 +11,7 @@ import pytest
 
 from kquant import (
     ACCEPTANCE,
+    AutomorphismLift,
     EXPERIMENTS,
     SBAR,
     ExperimentConfig,
@@ -26,7 +27,6 @@ from kquant import (
     report_from_json,
     rotation_field,
     run_experiment,
-    sigma_lift,
 )
 from kquant.cli import main as cli_main
 from kquant.reporting import CSV_HEADER
@@ -59,11 +59,24 @@ def test_fit_power_law_rejects_non_finite(bad):
         fit_power_law([(8, 1.0), (16, 0.5), (32, 0.25), (64, bad)])
 
 
-def test_bergman_expansion_with_overflowing_degree_does_not_pass():
-    # the k = 1024 density overflows on the default grid; the overflow must
-    # abort the run rather than reach the fit as a NaN
-    rep = run_experiment(ExperimentConfig("bergman-expansion", k_list=(128, 256, 512, 1024)))
+@pytest.mark.parametrize("ks", [(128, 256, 512, 1024), (1024, 2048, 4096)], ids=["to-1024", "to-4096"])
+def test_bergman_expansion_passes_past_degree_1024(ks):
+    # log-diagonal radial forms keep the density finite at every degree
+    rep = run_experiment(ExperimentConfig("bergman-expansion", k_list=ks))
+    assert all(np.isfinite(rep.series[0].values))
+    assert rep.passed
+
+
+def test_overflow_aborts_to_a_failing_verdict(monkeypatch):
+    # an overflow inside a run must abort it rather than reach a verdict as inf
+    def overflowing(ctx):
+        np.exp(np.array([1000.0]))
+        raise AssertionError("the overflow did not raise")
+
+    monkeypatch.setitem(EXPERIMENTS, "bergman-expansion", overflowing)
+    rep = run_experiment(ExperimentConfig("bergman-expansion", resolution=16))
     assert not rep.passed
+    assert [v.criterion for v in rep.verdicts] == ["completed"]
     assert any("overflow" in n for n in rep.notes)
 
 
@@ -244,7 +257,8 @@ def calibrate_twist_constant(pot, V, k: int = 48, window: tuple[float, float] = 
     target = (holomorphy_potential(V, pot, md) + SBAR) / 2.0
 
     def resid(c0):
-        psi = psi_potential(sigma_lift(V, k, 1.0, rate_constant=c0), pot, md=md)
+        lift = AutomorphismLift(scale=V.flow_scale(-c0 / k), degree=k)
+        psi = psi_potential(lift, pot, md=md)
         return float(np.max(np.abs(k * psi.values - target)))
 
     gr = (math.sqrt(5.0) - 1.0) / 2.0
@@ -296,7 +310,7 @@ def test_cli_config_file_and_overrides(tmp_path, capsys):
     cfg = tmp_path / "lab.cfg"
     cfg.write_text(
         "# demo config\n"
-        "k_list = 128 256 512 1024\n"  # k = 1024 overflows: forces a failing verdict
+        "k_list = 1 2 3\n"  # pre-asymptotic degrees: the fit exponent misses 0.9
         "resolution = 128\n"
         "seed = 9\n"
         "potential = 0.05 -0.07\n"

@@ -25,7 +25,6 @@ from kquant import (
     rotation_field,
     zero_potential,
 )
-from kquant.quantize import _inverse_contraction
 
 
 def eigh_contraction(form: HermForm, grid) -> np.ndarray:
@@ -109,10 +108,10 @@ def test_fs_rejects_non_positive(radial):
 
 
 def test_fs_factorization_independence(radial, grid2d, bump):
-    # Cholesky-based and eigendecomposition-based orthonormalizations give
-    # the same section density
+    # the log-diagonal contraction and an eigendecomposition orthonormalization
+    # give the same section density
     H = hilb(bump, 10)
-    d1 = _inverse_contraction(H, radial)
+    d1 = np.exp(radial.log_density(H))
     d2 = eigh_contraction(H, radial)
     assert np.max(np.abs(d1 - d2)) / np.max(d1) <= 1e-12
 
@@ -171,7 +170,7 @@ def test_psi_scaling_closed_form(radial, flat):
 def test_psi_normalization_and_curvature_residual(radial, bump):
     md = metric_data(bump)
     k = 8
-    lift = sigma_lift(rotation_field(1.0), k, 1.0)
+    lift = sigma_lift(rotation_field(1.0), k)
     psi = psi_potential(lift, bump, md=md)
     nu = sections_dim(k) / k
     assert abs(md.integrate(np.exp(psi.values)) - nu) <= 1e-12
@@ -190,7 +189,7 @@ def test_psi_expansion_toward_holomorphy_potential(radial, bump):
     theta = holomorphy_potential(rotation_field(1.0), bump)
     sups = []
     for k in (16, 64):
-        psi = psi_potential(sigma_lift(rotation_field(1.0), k, 1.0), bump, md=md)
+        psi = psi_potential(sigma_lift(rotation_field(1.0), k), bump, md=md)
         sups.append(np.max(np.abs(k * psi.values - (theta + 2.0) / 2.0)))
     assert sups[1] < sups[0] / 2.5
 
