@@ -374,8 +374,7 @@ class GeodesicInB:
     are H0-orthonormal and H1-diagonalizing; along the geodesic
     H(tau_a, tau_b)(s) = delta_ab e^{2 lambda_a s}.  Between two diagonal
     forms the monomials are that basis up to scale, ``coeffs`` is None and
-    log h_j(s) = log h0_j + 2 lambda_j s; dense geodesics contract only
-    against the full 2D grid.
+    log h_j(s) = log h0_j + 2 lambda_j s.
     """
 
     H0: HermForm
@@ -420,15 +419,6 @@ def bk_geodesic(H0: HermForm, H1: HermForm) -> GeodesicInB:
     return GeodesicInB(H0=H0, H1=H1, lambdas=lambdas, coeffs=coeffs)
 
 
-def _section_slope(geo: GeodesicInB, grid, s: float) -> np.ndarray:
-    """sum_a 2 lam_a e^{-2 lam_a s}|tau_a|^2 / sum_a e^{-2 lam_a s}|tau_a|^2 at the nodes."""
-    if geo.coeffs is None:
-        return grid.section_mean(geo.degree, geo.H0.log_diag + 2.0 * geo.lambdas * s, 2.0 * geo.lambdas)
-    tau_sq = grid.section_table(geo.degree, geo.coeffs)
-    w = np.exp(-2.0 * geo.lambdas * s)
-    return (tau_sq @ (2.0 * geo.lambdas * w)) / (tau_sq @ w)
-
-
 def z_first_variation(
     geo: GeodesicInB, grid, s: float, lift: AutomorphismLift | None = None
 ) -> float:
@@ -441,7 +431,7 @@ def z_first_variation(
     k = geo.degree
     lift = identity_lift(k) if lift is None else lift
     pot = fs(geo.form_at(s), grid)
-    vel = -_section_slope(geo, grid, s) / k
+    vel = -grid.geodesic_slope(geo, s) / k
     return delta_i_sigma(pot, vel, k, lift) + float(2.0 * np.sum(geo.lambdas))
 
 
@@ -502,7 +492,7 @@ def fk_prime(
     geo = bk_geodesic(H_star, H)
     grid = pot.grid
     md = metric_data(pot_star)
-    ratio = 0.5 * _section_slope(geo, grid, 0.0)  # sum lam |tau|^2 / sum |tau|^2
+    ratio = 0.5 * grid.geodesic_slope(geo, 0.0)  # sum lam |tau|^2 / sum |tau|^2
     psi = psi_potential(lift, pot_star, md=md)
     epsi = psi.exp()
     op = k * epsi + md.laplace(epsi)

@@ -235,10 +235,16 @@ class RadialGrid:
         table, terms, shift = self._contract(form.degree, self._log_diagonal(form))
         return shift + np.log(table @ terms)
 
-    def section_mean(self, k: int, log_h: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """sum_j values_j |s_j|^2 / h_j over sum_j |s_j|^2 / h_j at the nodes."""
-        table, terms, _ = self._contract(k, log_h)
-        return (table @ (values * terms)) / (table @ terms)
+    def geodesic_slope(self, geo, s: float) -> np.ndarray:
+        """sum_j 2 lam_j |s_j|^2 / h_j(s) over sum_j |s_j|^2 / h_j(s) at the nodes.
+
+        Between diagonal forms log h_j(s) = log h0_j + 2 lam_j s with
+        2 lam = log h1 - log h0; dense endpoints are checked and converted.
+        """
+        log_h0 = self._log_diagonal(geo.H0)
+        rate = self._log_diagonal(geo.H1) - log_h0
+        table, terms, _ = self._contract(geo.degree, log_h0 + rate * s)
+        return (table @ (rate * terms)) / (table @ terms)
 
     def log_det(self, form) -> float:
         return float(np.sum(self._log_diagonal(form)))
@@ -357,9 +363,17 @@ class Full2DGrid:
         Linv = np.linalg.inv(form.cholesky())
         return np.log(self.section_table(form.degree, Linv.conj().T).sum(axis=-1))
 
-    def section_mean(self, k: int, log_h: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """The radial section mean of a diagonal form; |s_j|^2 carries no angle."""
-        return self.broadcast(self.radial.section_mean(k, log_h, values))
+    def geodesic_slope(self, geo, s: float) -> np.ndarray:
+        """sum_a 2 lam_a e^{-2 lam_a s}|tau_a|^2 over sum_a e^{-2 lam_a s}|tau_a|^2 at the nodes.
+
+        A geodesic between diagonal forms has monomial tau_a, whose norms
+        carry no angle.
+        """
+        if geo.coeffs is None:
+            return self.broadcast(self.radial.geodesic_slope(geo, s))
+        tau_sq = self.section_table(geo.degree, geo.coeffs)
+        w = np.exp(-2.0 * geo.lambdas * s)
+        return (tau_sq @ (2.0 * geo.lambdas * w)) / (tau_sq @ w)
 
     def log_det(self, form) -> float:
         sign, logdet = np.linalg.slogdet(form.entries)

@@ -10,6 +10,7 @@ import pytest
 
 from kquant import (
     HermForm,
+    KQuantError,
     bergman,
     bk_geodesic,
     fk_prime,
@@ -21,6 +22,7 @@ from kquant import (
     psi_potential,
     rotation_field,
     sigma_lift,
+    z_first_variation,
 )
 
 
@@ -95,10 +97,21 @@ def test_radial_forms_need_no_factorization(monkeypatch, radial, flat, bump):
     assert H.min_eigenvalue() > 0.0
 
 
-def test_dense_diagonal_form_converts_on_a_radial_grid(radial, bump):
+def test_dense_diagonal_form_converts_on_a_radial_grid(radial, flat, bump):
     k = 12
-    H = hilb(bump, k)
+    H, H0 = hilb(bump, k), hilb(flat, k)
     dense = HermForm(H.entries, k)
     assert dense.log_diag is None
     assert np.max(np.abs(fs(dense, radial).values - fs(H, radial).values)) <= 1e-14
     assert abs(i_k(dense, radial) - i_k(H, radial)) <= 1e-12
+    # a geodesic with a dense endpoint takes the dense route, then the grid reads it diagonally
+    mixed, diagonal = bk_geodesic(H0, dense), bk_geodesic(H0, H)
+    assert mixed.coeffs is not None and diagonal.coeffs is None
+    for s in (0.0, 0.7):
+        got = z_first_variation(mixed, radial, s)
+        assert abs(got - z_first_variation(diagonal, radial, s)) <= 1e-10 * max(1.0, abs(got))
+    half = np.diag(np.exp(0.5 * H0.log_diag))
+    coupling = np.eye(k + 1) + 0.2 * (np.eye(k + 1, k=1) + np.eye(k + 1, k=-1))
+    skew = HermForm((half @ coupling @ half).astype(complex), k)
+    with pytest.raises(KQuantError, match="2D"):
+        z_first_variation(bk_geodesic(H0, skew), radial, 0.5)
