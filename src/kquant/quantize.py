@@ -57,9 +57,11 @@ class HermForm:
 
     A form diagonal in the monomial basis, as every Gram form of a radial
     grid is, carries its log-diagonal ``log_diag``; consumers read that and
-    never factor ``entries``.  Built with ``entries=None``, such a form fills
-    ``entries`` with its dense diagonal, whose values may under- or overflow
-    at high degree where ``log_diag`` stays exact.
+    never factor ``entries``.  Such a form is built with ``entries=None`` and
+    fills ``entries`` with its dense diagonal, whose values may under- or
+    overflow at high degree where ``log_diag`` stays exact.  Given
+    ``entries``, the form is dense and ``log_diag`` is dropped, so replacing
+    the entries of a diagonal form never leaves a stale log-diagonal.
     """
 
     entries: np.ndarray | None
@@ -76,6 +78,8 @@ class HermForm:
             entries = np.zeros((n, n), dtype=complex)
             np.fill_diagonal(entries, np.exp(self.log_diag))
             object.__setattr__(self, "entries", entries)
+        elif self.log_diag is not None:
+            object.__setattr__(self, "log_diag", None)
         if self.entries.shape != (n, n):
             raise KQuantError(f"form shape {self.entries.shape} does not match degree {self.degree}")
 

@@ -5,6 +5,8 @@ metric stays balanced past k = 1024, and no matrix factorization runs on a
 radial grid.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,9 @@ def test_dense_diagonal_form_converts_on_a_radial_grid(radial, flat, bump):
     H, H0 = hilb(bump, k), hilb(flat, k)
     dense = HermForm(H.entries, k)
     assert dense.log_diag is None
+    doubled = dataclasses.replace(H, entries=2.0 * H.entries)
+    assert doubled.log_diag is None
+    assert abs(i_k(doubled, radial) - i_k(H, radial) - (k + 1) * np.log(2.0)) <= 1e-12
     assert np.max(np.abs(fs(dense, radial).values - fs(H, radial).values)) <= 1e-14
     assert abs(i_k(dense, radial) - i_k(H, radial)) <= 1e-12
     # a geodesic with a dense endpoint takes the dense route, then the grid reads it diagonally
