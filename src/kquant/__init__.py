@@ -72,7 +72,6 @@ from .functionals import (
     segment_path,
     trivial_group,
     two_leg_path,
-    z_first_variation,
     z_second_derivative_fd,
     z_sigma_k,
 )

@@ -72,14 +72,14 @@ __all__ = [
     "modified_k_energy",
     "GeodesicInB",
     "bk_geodesic",
-    "z_first_variation",
     "z_second_derivative_fd",
     "i_sigma_hessian",
     "fk_prime",
     "delta_l_sigma",
 ]
 
-# Gauss-Legendre rule on [0, 1] shared by every path integral.
+# Gauss-Legendre rule on [0, 1] shared by every path integral, whose nodes
+# are evaluated as one block.
 S_NODES, S_WEIGHTS = gauss_legendre_01(32)
 
 
@@ -94,28 +94,40 @@ class PathInPotentials:
     ``terms`` pairs each potential P_i with the coefficients of the
     polynomial c_i in ascending powers of s.  ``phi`` sums the terms as
     potentials, so the path keeps an exact profile exactly when every P_i
-    carries one; ``dphi``/``d2phi`` return the s-derivative fields.
+    carries one; ``dphi``/``d2phi`` return the s-derivative fields.  A float
+    s gives one potential or field, an array of s the block of them at
+    every entry, stacked along a leading axis.
     """
 
     terms: tuple[tuple[Potential, tuple[float, ...]], ...]
 
-    def phi(self, s: float) -> Potential:
-        (first, c), *rest = self.terms
-        pot = first.scaled(P.polyval(s, c))
-        for term, c in rest:
-            pot = pot.combine(term, 1.0, P.polyval(s, c))
-        return pot
+    def phi(self, s: float | np.ndarray) -> Potential:
+        pots = [term for term, _ in self.terms]
+        coefs = [P.polyval(s, c) for _, c in self.terms]
+        profile = None
+        if all(p.profile is not None for p in pots):
+            n = max(len(p.profile[1]) for p in pots)
+            c0 = sum(a * p.profile[0] for a, p in zip(coefs, pots))
+            cs = tuple(
+                sum(a * (p.profile[1][i] if i < len(p.profile[1]) else 0.0) for a, p in zip(coefs, pots))
+                for i in range(n)
+            )
+            profile = (c0, cs)
+        return Potential(pots[0].grid, self._combine(coefs), all(p.invariant for p in pots), profile)
 
-    def _derivative(self, s: float, m: int) -> np.ndarray:
+    def _combine(self, coefs) -> np.ndarray:
+        return sum(np.multiply.outer(a, term.values) for (term, _), a in zip(self.terms, coefs))
+
+    def _derivative(self, s: float | np.ndarray, m: int) -> np.ndarray:
         rates = [c for _, c in self.terms]
         for _ in range(m):  # numpy's polyder arithmetic, without its per-call overhead
             rates = [[j * a for j, a in enumerate(c)][1:] or [0.0] for c in rates]
-        return sum(P.polyval(s, r) * term.values for (term, _), r in zip(self.terms, rates))
+        return self._combine([P.polyval(s, r) for r in rates])
 
-    def dphi(self, s: float) -> np.ndarray:
+    def dphi(self, s: float | np.ndarray) -> np.ndarray:
         return self._derivative(s, 1)
 
-    def d2phi(self, s: float) -> np.ndarray:
+    def d2phi(self, s: float | np.ndarray) -> np.ndarray:
         return self._derivative(s, 2)
 
 
@@ -206,22 +218,29 @@ def delta_i_sigma(
 
     Linear in the direction; at the identity twist e^psi is the constant
     (k+1)/k and this reduces to the scaled classical Aubin differential.
+    A block of potentials and directions gives one value per potential.
     """
     lift = identity_lift(k) if lift is None else lift
     md = metric_data(pot) if md is None else md
-    psi = psi_potential(lift, pot, md=md)
-    epsi = psi.exp()
+    epsi = psi_potential(lift, pot, md=md).exp()
     if lift.is_identity:
-        return float(k * k * md.integrate(direction * epsi))
-    return float(k * (k * md.integrate(direction * epsi) + md.integrate(direction * md.laplace(epsi))))
+        return k * k * md.integrate(direction * epsi)
+    # direction (k + Delta) e^psi, formed in place: a block of 2D fields is
+    # megabytes, so each temporary counts.
+    weight = md.laplace(epsi)
+    epsi *= k
+    weight += epsi
+    weight *= direction
+    return k * md.integrate(weight)
 
 
-def _path_integral(path: PathInPotentials, one_form: Callable[[Potential, np.ndarray], float]) -> float:
-    """int_0^1 one_form(phi_s, phi_s') ds by the shared rule S_NODES/S_WEIGHTS."""
-    total = 0.0
-    for s, w in zip(S_NODES, S_WEIGHTS):
-        total += w * one_form(path.phi(s), path.dphi(s))
-    return float(total)
+def _path_integral(path: PathInPotentials, one_form: Callable[[Potential, np.ndarray], np.ndarray]) -> float:
+    """int_0^1 one_form(phi_s, phi_s') ds by the shared rule S_NODES/S_WEIGHTS.
+
+    The one-form sees the path at all nodes as one block of potentials and
+    velocities, and returns its value at each node.
+    """
+    return float(S_WEIGHTS @ one_form(path.phi(S_NODES), path.dphi(S_NODES)))
 
 
 def i_sigma_k(
@@ -305,7 +324,7 @@ def _energy_primitive(pot: Potential, density_of: Callable[[Potential, MetricDat
     here integrates exactly (they are closed); its points keep the exact
     profile of phi when it has one.
     """
-    def one_form(p: Potential, vel: np.ndarray) -> float:
+    def one_form(p: Potential, vel: np.ndarray) -> np.ndarray:
         md = metric_data(p)
         return md.integrate(vel * density_of(p, md))
 
@@ -336,10 +355,10 @@ def projection_pi(pot: Potential, group: GroupSpec, f: np.ndarray, md: MetricDat
         raise KQuantError("circle projections need circle-invariant potentials")
     md = metric_data(pot) if md is None else md
     theta = holomorphy_potential(group.V, pot, md)
-    gram = md.integrate(theta * theta)
-    if gram <= 0.0:
+    gram = md.integrate(theta * theta, keepdims=True)
+    if np.any(gram <= 0.0):
         raise KQuantError("degenerate Killing potential Gram matrix")
-    return (md.integrate(f * theta) / gram) * theta
+    return (md.integrate(f * theta, keepdims=True) / gram) * theta
 
 
 def reduced_scalar(pot: Potential, group: GroupSpec, md: MetricData | None = None) -> np.ndarray:
@@ -386,10 +405,6 @@ class GeodesicInB:
     def degree(self) -> int:
         return self.H0.degree
 
-    @property
-    def distance(self) -> float:
-        return float(np.sqrt(np.sum((2.0 * self.lambdas) ** 2)))
-
     def form_at(self, s: float) -> HermForm:
         if self.coeffs is None:
             return HermForm(None, self.degree, log_diag=self.H0.log_diag + 2.0 * self.lambdas * s)
@@ -410,29 +425,14 @@ def bk_geodesic(H0: HermForm, H1: HermForm) -> GeodesicInB:
         return GeodesicInB(H0=H0, H1=H1, lambdas=0.5 * (H1.log_diag - H0.log_diag), coeffs=None)
     L = H0.cholesky()
     Linv = np.linalg.inv(L)
-    M = Linv @ (0.5 * (H1.entries + H1.entries.conj().T)) @ Linv.conj().T
+    H = H1.dense()
+    M = Linv @ (0.5 * (H + H.conj().T)) @ Linv.conj().T
     vals, vecs = np.linalg.eigh(M)
     if vals.min() <= 0.0:
         raise NotPositiveDefiniteError("geodesic endpoints must be positive definite")
     lambdas = 0.5 * np.log(vals)
     coeffs = Linv.conj().T @ vecs
     return GeodesicInB(H0=H0, H1=H1, lambdas=lambdas, coeffs=coeffs)
-
-
-def z_first_variation(
-    geo: GeodesicInB, grid, s: float, lift: AutomorphismLift | None = None
-) -> float:
-    """dZ/ds along the geodesic, through the chain rule on its two terms.
-
-    d(i_k)/ds = 2 sum lambda_a; the embedding-potential velocity is the
-    exact ratio -(1/k) sum 2 lam e^{-2 lam s}|tau|^2 / sum e^{-2 lam s}|tau|^2
-    fed to the twisted Aubin differential.
-    """
-    k = geo.degree
-    lift = identity_lift(k) if lift is None else lift
-    pot = fs(geo.form_at(s), grid)
-    vel = -grid.geodesic_slope(geo, s) / k
-    return delta_i_sigma(pot, vel, k, lift) + float(2.0 * np.sum(geo.lambdas))
 
 
 def z_second_derivative_fd(

@@ -77,12 +77,14 @@ class Potential:
     """A Kahler potential sampled on a quadrature grid.
 
     ``values`` has shape (n_u,) on a radial grid and (n_u, n_theta) on the
-    full 2D grid.  ``invariant`` marks circle-invariant data (always true in
-    radial mode).  ``profile`` optionally carries the exact u-polynomial
-    (constant, degree-1-and-up coefficients) the values were sampled from;
-    derived metric quantities then use exact polynomial derivatives on the
-    radial nodes of either grid instead of spectral differentiation, which
-    matters for sup-norm tests near the pole u = 1.
+    full 2D grid, after any leading batch axes: a block of potentials, such
+    as a path at all its quadrature nodes, is one Potential.  ``invariant``
+    marks circle-invariant data (always true in radial mode).  ``profile``
+    optionally carries the exact u-polynomial (constant, degree-1-and-up
+    coefficients, each a number or an array of the batch shape) the values
+    were sampled from; derived metric quantities then use exact polynomial
+    derivatives on the radial nodes of either grid instead of spectral
+    differentiation, which matters for sup-norm tests near the pole u = 1.
     """
 
     grid: RadialGrid | Full2DGrid
@@ -91,7 +93,7 @@ class Potential:
     profile: tuple[float, tuple[float, ...]] | None = None
 
     def __post_init__(self):
-        if self.values.shape != self.grid.shape:
+        if self.values.shape[-len(self.grid.shape) :] != self.grid.shape:
             raise KQuantError(
                 f"potential values shape {self.values.shape} does not match grid {self.grid.shape}"
             )
@@ -119,24 +121,10 @@ class Potential:
         """Subtract the base-measure mean; fixes additive gauge."""
         return self.shifted(-self.grid.integrate(self.values))
 
-    def combine(self, other: "Potential", a: float = 1.0, b: float = 1.0) -> "Potential":
-        """a * self + b * other, preserving exact profiles when both carry one."""
-        prof = None
-        if self.profile is not None and other.profile is not None:
-            c0a, csa = self.profile
-            c0b, csb = other.profile
-            n = max(len(csa), len(csb))
-            cs = tuple(
-                a * (csa[i] if i < len(csa) else 0.0) + b * (csb[i] if i < len(csb) else 0.0)
-                for i in range(n)
-            )
-            prof = (a * c0a + b * c0b, cs)
-        return Potential(
-            self.grid,
-            a * self.values + b * other.values,
-            self.invariant and other.invariant,
-            prof,
-        )
+    @cached_property
+    def _exact_fields(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """g1, density and curvature on the radial nodes from the exact profile, or None."""
+        return None if self.profile is None else _profile_fields(self.grid.u, self.profile)
 
 
 def zero_potential(grid) -> Potential:
@@ -218,48 +206,69 @@ def _profile_fields(u: np.ndarray, profile) -> tuple[np.ndarray, np.ndarray, np.
 
     With g1 = u(1-u) phi_u (so that rho F' = u + g1) the density is 1 + g1'
     and the curvature is (2 dens^2 - W' dens + W dens') / dens^3 for
-    W = u(1-u) dens', all exact polynomial arithmetic.
+    W = u(1-u) dens', all exact polynomial arithmetic.  Coefficients of a
+    block give fields of shape batch + (n_u,).
     """
 
-    def der(c):  # numpy's polyder, without its per-call overhead
-        return np.arange(1.0, len(c)) * c[1:] if len(c) > 1 else 0.0 * c[:1]
+    def der(c):  # numpy's polyder along the first axis, without its per-call overhead
+        n = np.arange(1.0, len(c)).reshape((-1,) + (1,) * (c.ndim - 1))
+        return n * c[1:] if len(c) > 1 else 0.0 * c[:1]
+
+    def times_uu(c):  # product with u(1-u), the convolution with (0, 1, -1)
+        out = np.zeros((len(c) + 2,) + c.shape[1:])
+        out[1:-1] = c
+        out[2:] -= c
+        return out
 
     c0, cs = profile
-    uu = np.array([0.0, 1.0, -1.0])  # u(1-u)
-    g1 = np.convolve(uu, der(np.array([c0, *cs], dtype=float)))
+    coeffs = np.array(np.broadcast_arrays(c0, *cs), dtype=float)
+    g1 = times_uu(der(coeffs))
     dens_c = der(g1)
     dens_c[0] += 1.0
     ddens_c = der(dens_c)
-    W = np.convolve(uu, ddens_c)
-    # One Horner pass over all five, zero-padded to W, the longest: exact.
-    pad = [np.concatenate((c, np.zeros(len(W) - len(c)))) for c in (g1, dens_c, ddens_c, W, der(W))]
-    g1v, dens, ddens, Wv, dWv = P.polyval(u, np.stack(pad, axis=1))
+    W = times_uu(ddens_c)
+    # One Horner pass each, so a block holds one set of intermediates at a time.
+    g1v, dens, ddens, Wv, dWv = (P.polyval(u, c) for c in (g1, dens_c, ddens_c, W, der(W)))
     scalar = (2.0 * dens**2 - dWv * dens + Wv * ddens) / dens**3
     return g1v, dens, scalar
 
 
 @dataclass(frozen=True)
 class MetricData:
-    """Derived metric quantities of an admissible potential.
+    """Derived metric quantities of an admissible potential (or block of them).
 
     ``density`` is A_phi/A_0, ``volume_weights`` are quadrature weights for
-    d mu_phi, and ``scalar`` the scalar curvature field.  The Laplacian and
-    gradient pairing close over the same density so the integration-by-parts
-    identities hold exactly at the discrete level up to quadrature error.
+    d mu_phi, and ``scalar`` the scalar curvature field, computed on first
+    read.  The Laplacian and gradient pairing close over the same density so
+    the integration-by-parts identities hold exactly at the discrete level
+    up to quadrature error.
     """
 
     potential: Potential
     density: np.ndarray
     volume_weights: np.ndarray
-    scalar: np.ndarray
 
     @property
     def grid(self):
         return self.potential.grid
 
+    @cached_property
+    def scalar(self) -> np.ndarray:
+        """S(phi); a profile's comes from exact polynomial arithmetic.
+
+        Otherwise log A = log A0 + log(density), and the base part has the
+        closed-form mixed derivative -2 A0, so S(0) == 2 exactly.
+        """
+        exact = self.potential._exact_fields
+        if exact is not None:
+            return self.grid.broadcast(exact[2])
+        return (2.0 + self.grid.base_laplace(np.log(self.density))) / self.density
+
     def laplace(self, values: np.ndarray) -> np.ndarray:
         """Delta_phi f = -(d_z d_zbar f) / A_phi = Delta_0 f / density."""
-        return self.grid.base_laplace(values) / self.density
+        out = self.grid.base_laplace(values)
+        out /= self.density
+        return out
 
     def inner_grad(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """(nabla f, nabla g) with norm |nabla f|^2 = |d_z f|^2 / A_phi."""
@@ -269,31 +278,24 @@ class MetricData:
         """Riemannian |df|^2 = 2 |d_z f|^2 / A_phi."""
         return 2.0 * self.inner_grad(f, f)
 
-    def integrate(self, values: np.ndarray) -> float:
-        return self.grid.integrate(values, self.volume_weights)
+    def integrate(self, values: np.ndarray, keepdims: bool = False):
+        return self.grid.integrate(values, self.volume_weights, keepdims)
 
 
 def metric_data(pot: Potential) -> MetricData:
     """Assemble MetricData; rejects non-Kahler input (A_phi <= 0 anywhere).
 
-    A potential with a u-polynomial profile gets its density and curvature
-    from exact polynomial arithmetic on the radial nodes.
+    A potential with a u-polynomial profile gets its density from exact
+    polynomial arithmetic on the radial nodes.
     """
     grid = pot.grid
-    if pot.profile is not None:
-        _, dens, scalar = _profile_fields(grid.u, pot.profile)
-        density, scalar = grid.broadcast(dens), grid.broadcast(scalar)
-    else:
-        density = 1.0 - grid.base_laplace(pot.values)
+    exact = pot._exact_fields
+    density = 1.0 - grid.base_laplace(pot.values) if exact is None else grid.broadcast(exact[1])
     if np.min(density) <= 0.0:
         raise NonKahlerError(
             f"potential not Kahler: min density {np.min(density):.3e} <= 0"
         )
-    if pot.profile is None:
-        # log A = log A0 + log(density); the base part has the closed-form
-        # mixed derivative -2 A0, so S(0) == 2 exactly.
-        scalar = (2.0 + grid.base_laplace(np.log(density))) / density
-    return MetricData(potential=pot, density=density, volume_weights=grid.weights * density, scalar=scalar)
+    return MetricData(potential=pot, density=density, volume_weights=grid.weights * density)
 
 
 # ---------------------------------------------------------------------------
@@ -338,14 +340,11 @@ def holomorphy_potential(V: VectorFieldSpec, pot: Potential, md: MetricData | No
         return np.zeros_like(pot.values)
     rg = grid.radial
     u = rg.u
-    if pot.profile is not None:
-        g1 = _profile_fields(u, pot.profile)[0]
-    else:
-        g1 = u * (1.0 - u) * (rg.D @ grid.radial_part(pot.values))
+    exact = pot._exact_fields
+    g1 = u * (1.0 - u) * rg.apply_radial(rg.D, grid.radial_part(pot.values)) if exact is None else exact[0]
     theta = V.strength * (u + g1) / (2.0 * np.pi)
     mdw = rg.weights * grid.radial_part(md.density)
-    theta = theta - float(np.dot(mdw, theta))
-    return grid.broadcast(theta)
+    return grid.broadcast(theta - rg.integrate(theta, mdw, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +370,6 @@ class AutomorphismLift:
     def is_identity(self) -> bool:
         return self.scale == 1.0
 
-    @property
-    def section_matrix(self) -> np.ndarray:
-        j = np.arange(self.degree + 1)
-        return np.diag(np.asarray(self.scale, dtype=complex) ** j)
-
     def inverse(self) -> "AutomorphismLift":
         return AutomorphismLift(scale=1.0 / self.scale, degree=self.degree)
 
@@ -383,9 +377,6 @@ class AutomorphismLift:
         if self.degree != other.degree:
             raise KQuantError("cannot compose lifts of different degrees")
         return AutomorphismLift(scale=self.scale * other.scale, degree=self.degree)
-
-    def map_points(self, z: np.ndarray) -> np.ndarray:
-        return self.scale * z
 
     def pulled_u(self, grid) -> np.ndarray:
         """u-coordinate of sigma(z) at the grid nodes."""
@@ -412,7 +403,7 @@ class AutomorphismLift:
         if slot[0] is not grid:
             rg = grid.radial
             slot[:] = grid, interp_matrix(rg.u, rg.bary, self.pulled_u(rg))
-        return grid.rotate(slot[1] @ pot.values, float(np.angle(self.scale)))
+        return grid.rotate(grid.apply_radial(slot[1], pot.values), float(np.angle(self.scale)))
 
     def pullback_potential(self, pot: Potential, normalize: bool = False) -> Potential:
         """Potential of sigma^* omega_phi: c_sigma + phi o sigma."""

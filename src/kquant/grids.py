@@ -20,12 +20,16 @@ log-diagonal log h_j in the monomial basis and contracts them by
 log-sum-exp, with no matrix factorization and no overflow at high degree;
 the full 2D grid holds dense P^dagger P forms and contracts them through a
 Cholesky factor.
+
+Every field operator also takes a block of fields stacked along leading
+axes, as the path rule evaluates all its nodes at once: values of shape
+batch + ``shape`` give results of the same leading shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -144,12 +148,22 @@ class RadialGrid:
     def D(self) -> np.ndarray:
         return diff_matrix(self.u, self.bary)
 
-    def integrate(self, values: np.ndarray, weights: np.ndarray | None = None) -> float:
+    def integrate(self, values: np.ndarray, weights: np.ndarray | None = None, keepdims: bool = False):
+        """The integral of each field of a block; ``keepdims`` keeps a unit field axis."""
         w = self.weights if weights is None else weights
-        return float(np.dot(w, values))
+        return np.sum(w * values, axis=-1, keepdims=keepdims)
+
+    def apply_radial(self, matrix: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """matrix applied along the radial axis of each field.
+
+        A block is multiplied as matrix @ (fields as columns): of the two
+        orientations, this one leaves less of BLAS's packing buffer resident.
+        """
+        columns = values.reshape(-1, self.resolution).T
+        return (matrix @ columns).T.reshape(values.shape)
 
     def d_drho(self, values: np.ndarray) -> np.ndarray:
-        return (1.0 - self.u) ** 2 * (self.D @ values)
+        return (1.0 - self.u) ** 2 * self.apply_radial(self.D, values)
 
     def ddbar(self, values: np.ndarray) -> np.ndarray:
         """Mixed chart derivative d_z d_zbar of a radial field: (rho f')'."""
@@ -170,11 +184,12 @@ class RadialGrid:
         The base factor (1-u)^2 cancels analytically, which keeps the
         operator accurate at the outermost nodes.
         """
-        return -(self.D @ (self.u * (1.0 - self.u) * (self.D @ values)))
+        D = self.D
+        return -self.apply_radial(D, self.u * (1.0 - self.u) * self.apply_radial(D, values))
 
     def base_inner_grad(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """(d_z f, d_z g)/A_0 = u (1-u) f_u g_u for radial real fields."""
-        return self.u * (1.0 - self.u) * (self.D @ f) * (self.D @ g)
+        return self.u * (1.0 - self.u) * self.apply_radial(self.D, f) * self.apply_radial(self.D, g)
 
     def rotate(self, values: np.ndarray, angle: float) -> np.ndarray:
         """Rotation of the chart by ``angle``; radial fields do not move."""
@@ -185,16 +200,28 @@ class RadialGrid:
         j = np.arange(k + 1)
         return j[None, :] * np.log(self.u)[:, None] + (k - j)[None, :] * np.log1p(-self.u)[:, None]
 
+    @cached_property
+    def _peak_slot(self) -> list:
+        """[k, table, peak] of the last degree tabulated.  One slot, so a grid
+        holds one table at most."""
+        return [None, None, None]
+
     def _peak_sections(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(|s_j|^2 / max_u |s_j|^2 at the nodes, log max_u |s_j|^2).
+        """(|s_j|^2 / max_u |s_j|^2 at the nodes, log max_u |s_j|^2), read-only.
 
         The maximum of u^j (1-u)^{k-j} sits at u = j/k, so every table entry
         lies in [0, 1] and sums over either index stay in double range.
         """
-        j = np.arange(1, k)
-        peak = np.zeros(k + 1)
-        peak[1:k] = j * np.log(j / k) + (k - j) * np.log1p(-j / k)
-        return np.exp(self.log_section_norms(k) - peak), peak
+        slot = self._peak_slot
+        if slot[0] != k:
+            slot[:] = None, None, None  # drop the old table before building the new one
+            j = np.arange(1, k)
+            peak = np.zeros(k + 1)
+            peak[1:k] = j * np.log(j / k) + (k - j) * np.log1p(-j / k)
+            table = np.exp(self.log_section_norms(k) - peak)
+            table.flags.writeable = peak.flags.writeable = False
+            slot[:] = k, table, peak
+        return slot[1], slot[2]
 
     def _contract(self, k: int, log_h: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """(table, terms, shift) with sum_j |s_j|^2 / h_j e^{-shift} = table @ terms."""
@@ -250,6 +277,22 @@ class RadialGrid:
         return float(np.sum(self._log_diagonal(form)))
 
 
+def _field_by_field(op):
+    """Let a 2D field operator take a block by running it on one field at a
+    time, so its complex FFT temporaries stay the size of one field."""
+
+    @wraps(op)
+    def run(self, values: np.ndarray, *args) -> np.ndarray:
+        if values.ndim == 2:
+            return op(self, values, *args)
+        out = np.empty(values.shape)
+        for i in np.ndindex(values.shape[:-2]):
+            out[i] = op(self, values[i], *args)
+        return out
+
+    return run
+
+
 @dataclass(frozen=True)
 class Full2DGrid:
     """Product grid Gauss-Legendre (radial) x uniform periodic (angle).
@@ -291,31 +334,42 @@ class Full2DGrid:
     def _a0(self) -> np.ndarray:
         return ((1.0 - self.u) ** 2)[:, None]
 
-    def integrate(self, values: np.ndarray, weights: np.ndarray | None = None) -> float:
+    def integrate(self, values: np.ndarray, weights: np.ndarray | None = None, keepdims: bool = False):
+        """The integral of each field of a block; ``keepdims`` keeps unit field axes.
+
+        Summed without a block-sized temporary.
+        """
         w = self.weights if weights is None else weights
-        return float(np.sum(w * values))
+        total = np.einsum("...ij,...ij->...", w, values)
+        return total[..., None, None] if keepdims else total
+
+    def apply_radial(self, matrix: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """matrix applied along the radial axis of each field."""
+        return matrix @ values
 
     def d_drho(self, values: np.ndarray) -> np.ndarray:
         return self._a0 * (self.radial.D @ values)
 
+    @_field_by_field
     def d_dtheta(self, values: np.ndarray) -> np.ndarray:
-        spec = np.fft.fft(values, axis=1)
-        return np.real(np.fft.ifft(1j * self._m[None, :] * spec, axis=1))
+        spec = np.fft.fft(values, axis=-1)
+        return np.real(np.fft.ifft(1j * self._m * spec, axis=-1))
 
     def ddbar(self, values: np.ndarray) -> np.ndarray:
         """d_z d_zbar f = (rho f_rho)_rho + f_theta_theta / (4 rho)."""
-        spec = np.fft.fft(values, axis=1)
+        spec = np.fft.fft(values, axis=-1)
         rho = self.radial.rho[:, None]
         radial = self.d_drho(rho * self.d_drho(spec))
-        angular = -(self._m[None, :] ** 2) * spec / (4.0 * rho)
-        return np.real(np.fft.ifft(radial + angular, axis=1))
+        angular = -(self._m**2) * spec / (4.0 * rho)
+        return np.real(np.fft.ifft(radial + angular, axis=-1))
 
     def broadcast(self, radial_values: np.ndarray) -> np.ndarray:
-        return np.repeat(radial_values[:, None], self.n_theta, axis=1)
+        return np.repeat(radial_values[..., None], self.n_theta, axis=-1)
 
     def radial_part(self, values: np.ndarray) -> np.ndarray:
-        return values[:, 0]
+        return values[..., 0]
 
+    @_field_by_field
     def base_laplace(self, values: np.ndarray) -> np.ndarray:
         """Delta_0 f = -(d_z d_zbar f)/A_0."""
         return -self.ddbar(values) / self._a0
@@ -329,10 +383,12 @@ class Full2DGrid:
 
     def rotate(self, values: np.ndarray, angle: float) -> np.ndarray:
         """Values of f(e^{i angle} z), through the angular spectrum."""
-        if angle == 0.0:
-            return values
-        spec = np.fft.fft(values, axis=1)
-        return np.real(np.fft.ifft(spec * np.exp(1j * self._m * angle)[None, :], axis=1))
+        return values if angle == 0.0 else self._turn(values, angle)
+
+    @_field_by_field
+    def _turn(self, values: np.ndarray, angle: float) -> np.ndarray:
+        spec = np.fft.fft(values, axis=-1)
+        return np.real(np.fft.ifft(spec * np.exp(1j * self._m * angle), axis=-1))
 
     def _sections(self, k: int) -> np.ndarray:
         """s_j(z) weighted by the base half-norm: z^j (1+rho)^{-k/2}, flattened.
@@ -376,7 +432,7 @@ class Full2DGrid:
         return (tau_sq @ (2.0 * geo.lambdas * w)) / (tau_sq @ w)
 
     def log_det(self, form) -> float:
-        sign, logdet = np.linalg.slogdet(form.entries)
+        sign, logdet = np.linalg.slogdet(form.dense())
         if sign.real <= 0:
             raise NotPositiveDefiniteError("form must be positive definite")
         return float(logdet)

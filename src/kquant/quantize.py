@@ -57,11 +57,12 @@ class HermForm:
 
     A form diagonal in the monomial basis, as every Gram form of a radial
     grid is, carries its log-diagonal ``log_diag``; consumers read that and
-    never factor ``entries``.  Such a form is built with ``entries=None`` and
-    fills ``entries`` with its dense diagonal, whose values may under- or
-    overflow at high degree where ``log_diag`` stays exact.  Given
-    ``entries``, the form is dense and ``log_diag`` is dropped, so replacing
-    the entries of a diagonal form never leaves a stale log-diagonal.
+    never factor the dense matrix.  Such a form is built with
+    ``entries=None``; reading ``entries`` then builds and keeps its dense
+    diagonal, whose values may under- or overflow at high degree where
+    ``log_diag`` stays exact.  Given ``entries``, the form is dense and
+    ``log_diag`` is dropped, so replacing the entries of a diagonal form
+    never leaves a stale log-diagonal.
     """
 
     entries: np.ndarray | None
@@ -75,20 +76,33 @@ class HermForm:
         if self.entries is None:
             if self.log_diag is None or self.log_diag.shape != (n,):
                 raise KQuantError(f"a diagonal form of degree {self.degree} needs {n} log-diagonal values")
-            entries = np.zeros((n, n), dtype=complex)
-            np.fill_diagonal(entries, np.exp(self.log_diag))
-            object.__setattr__(self, "entries", entries)
+            object.__delattr__(self, "entries")  # built on first read, by __getattr__
         elif self.log_diag is not None:
             object.__setattr__(self, "log_diag", None)
-        if self.entries.shape != (n, n):
+        if self.log_diag is None and self.entries.shape != (n, n):
             raise KQuantError(f"form shape {self.entries.shape} does not match degree {self.degree}")
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute that is not set: the entries of a
+        # log-diagonal form, read for the first time.
+        if name != "entries" or self.__dict__.get("log_diag") is None:
+            raise AttributeError(name)
+        entries = self.dense()
+        object.__setattr__(self, "entries", entries)
+        return entries
 
     @property
     def dimension(self) -> int:
         return sections_dim(self.degree)
 
-    def hermitian_defect(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.conj().T)))
+    def dense(self) -> np.ndarray:
+        """The dense matrix: ``entries``, or for a log-diagonal form a fresh
+        dense diagonal that the form does not keep."""
+        if self.log_diag is None:
+            return self.entries
+        out = np.zeros((self.dimension, self.dimension), dtype=complex)
+        np.fill_diagonal(out, np.exp(self.log_diag))
+        return out
 
     def min_eigenvalue(self) -> float:
         if self.log_diag is not None:
@@ -96,20 +110,21 @@ class HermForm:
         return float(np.linalg.eigvalsh(0.5 * (self.entries + self.entries.conj().T)).min())
 
     def cholesky(self) -> np.ndarray:
+        H = self.dense()
         try:
-            return np.linalg.cholesky(0.5 * (self.entries + self.entries.conj().T))
+            return np.linalg.cholesky(0.5 * (H + H.conj().T))
         except np.linalg.LinAlgError:
             raise NotPositiveDefiniteError("form is not positive definite") from None
 
     def scaled(self, c: float) -> "HermForm":
         if self.log_diag is not None and c > 0.0:
             return HermForm(None, self.degree, log_diag=self.log_diag + np.log(c))
-        return HermForm(entries=c * self.entries, degree=self.degree)
+        return HermForm(entries=c * self.dense(), degree=self.degree)
 
 
 def save_herm_form(path, form: HermForm) -> None:
     lines = [f"degree: {form.degree}"]
-    for row in form.entries:
+    for row in form.dense():
         lines.append(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -202,19 +217,22 @@ def psi_potential(lift: AutomorphismLift, pot: Potential, md: MetricData | None 
 
     Constructed from the exact pullback potential: 2 pi psi = c_sigma +
     phi o sigma - phi up to the constant fixed by int e^psi d mu_phi =
-    N_k/k.  For the identity the field is the constant log((k+1)/k).
+    N_k/k, one constant per potential of a block.  For the identity the
+    field is the constant log((k+1)/k).
     """
     md = metric_data(pot) if md is None else md
     k = lift.degree
     nu = sections_dim(k) / k
     if lift.is_identity:
         return PsiField(values=np.full_like(pot.values, np.log(nu)), degree=k)
-    w = lift.base_potential(pot.grid) + lift.compose_potential(pot) - pot.values
-    raw = w / (2.0 * np.pi)
-    mass = md.integrate(np.exp(raw))
-    if not np.isfinite(mass) or mass <= 0.0:
+    psi = lift.base_potential(pot.grid) + lift.compose_potential(pot)
+    psi -= pot.values
+    psi /= 2.0 * np.pi
+    mass = md.integrate(np.exp(psi), keepdims=True)
+    if not np.all(np.isfinite(mass)) or np.any(mass <= 0.0):
         raise KQuantError("twist potential normalization integral is not finite")
-    return PsiField(values=raw + np.log(nu / mass), degree=k)
+    psi += np.log(nu / mass)
+    return PsiField(values=psi, degree=k)
 
 
 def balanced_residual(
@@ -240,12 +258,6 @@ class IterationLog:
     min_eigenvalues: list[float] = field(default_factory=list)
     energies: list[float] = field(default_factory=list)
     message: str = ""
-
-    def write_csv(self, path) -> None:
-        lines = ["iter,residual,min_eigenvalue,energy"]
-        for i, (r, m, e) in enumerate(zip(self.residuals, self.min_eigenvalues, self.energies)):
-            lines.append(f"{i},{r:.17g},{m:.17g},{e:.17g}")
-        Path(path).write_text("\n".join(lines) + "\n")
 
 
 def sigma_balanced_iterate(

@@ -15,17 +15,23 @@ from kquant import (
     KQuantError,
     bergman,
     bk_geodesic,
+    build_grid,
     fk_prime,
     fs,
     hilb,
     i_k,
     identity_lift,
+    l_sigma_k,
     metric_data,
     psi_potential,
     rotation_field,
+    sigma_balanced_iterate,
     sigma_lift,
-    z_first_variation,
+    z_sigma_k,
+    zero_potential,
 )
+
+from helpers import z_first_variation
 
 
 def dense_gram(pot, k):
@@ -120,3 +126,65 @@ def test_dense_diagonal_form_converts_on_a_radial_grid(radial, flat, bump):
     skew = HermForm((half @ coupling @ half).astype(complex), k)
     with pytest.raises(KQuantError, match="2D"):
         z_first_variation(bk_geodesic(H0, skew), radial, 0.5)
+
+
+def test_log_diagonal_entries_are_built_when_read(bump):
+    k = 12
+    H = hilb(bump, k)
+    assert "entries" not in vars(H)
+    want = np.zeros((k + 1, k + 1), dtype=complex)
+    np.fill_diagonal(want, np.exp(H.log_diag))
+    assert np.array_equal(H.entries, want) and H.entries.dtype == complex
+    assert H.entries is H.entries  # kept once built
+    assert H.log_diag is not None
+    doubled = dataclasses.replace(H, entries=2.0 * H.entries)
+    assert doubled.log_diag is None and np.array_equal(doubled.entries, 2.0 * want)
+    with pytest.raises(AttributeError):
+        H.no_such_field
+
+
+def test_radial_flows_never_read_dense_entries(monkeypatch, radial, flat, bump):
+    read = []
+    real = HermForm.dense
+
+    def spy(form):
+        if form.log_diag is not None:
+            read.append(form.degree)
+        return real(form)
+
+    monkeypatch.setattr(HermForm, "dense", spy)
+    k, lift = 16, sigma_lift(rotation_field(1.0), 16)
+    H = hilb(bump, k)
+    fs(H, radial)
+    bergman(bump, k)
+    i_k(H, radial)
+    geo = bk_geodesic(hilb(flat, k), H)
+    z_sigma_k(geo.form_at(0.5), radial, lift)
+    fk_prime(bump, flat, k, lift)
+    l_sigma_k(bump, k, lift)
+    sigma_balanced_iterate(bump, k, lift, max_iter=2, tol=0.0, track_energy=True)
+    H.scaled(2.0).min_eigenvalue()
+    assert read == []
+
+
+def test_peak_section_table_is_kept_for_one_degree(monkeypatch):
+    grid = build_grid("radial", 128)
+    built = []
+    real = type(grid).log_section_norms
+
+    def counted(self, k):
+        built.append(k)
+        return real(self, k)
+
+    monkeypatch.setattr(type(grid), "log_section_norms", counted)
+    table, peak = grid._peak_sections(9)
+    assert grid._peak_sections(9)[0] is table
+    flat = zero_potential(grid)
+    hilb(flat, 9)
+    fs(hilb(flat, 9), grid)
+    assert built == [9]
+    assert not table.flags.writeable and not peak.flags.writeable
+    grid._peak_sections(10)
+    assert built == [9, 10] and grid._peak_slot[0] == 10  # one slot: degree 9 was dropped
+    fresh = np.exp(real(grid, 9) - grid._peak_sections(9)[1])
+    assert np.array_equal(grid._peak_sections(9)[0], fresh)

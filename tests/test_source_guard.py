@@ -1,6 +1,6 @@
 """Source guards over src/kquant: only grids knows the kind of grid it holds,
 no function imports from another kquant module, and functionals forms the
-twisted weight and runs the path rule in one place each."""
+twisted weight and runs the path rule in one place each, as one block."""
 
 import ast
 from pathlib import Path
@@ -119,10 +119,12 @@ def test_functionals_forms_weight_and_path_rule_once():
     def calls_psi(node):
         return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "psi_potential"
 
+    def reads_nodes(node):
+        return isinstance(node, ast.Name) and node.id == "S_NODES" and isinstance(node.ctx, ast.Load)
+
     def loops_over_nodes(node):
-        return isinstance(node, (ast.For, ast.comprehension)) and any(
-            getattr(n, "id", None) == "S_NODES" for n in ast.walk(node.iter)
-        )
+        return isinstance(node, (ast.For, ast.comprehension)) and any(map(reads_nodes, ast.walk(node.iter)))
 
     assert owners(tree, calls_psi) == {"delta_i_sigma", "fk_prime"}
-    assert owners(tree, loops_over_nodes) == {"_path_integral"}
+    assert owners(tree, loops_over_nodes) == set()
+    assert owners(tree, reads_nodes) == {"_path_integral"}
