@@ -5,21 +5,24 @@ chart z the base volume form pushes down to du dtheta/(2 pi) in the
 compactified radial coordinate u = |z|^2/(1+|z|^2), so the radial direction
 uses Gauss-Legendre nodes on (0, 1) and the angle a uniform periodic rule.
 Radial fields are differentiated spectrally through the barycentric
-differentiation matrix of the Gauss-Legendre nodes; angular derivatives use
-the FFT.  Fields with odd angular frequency carry half-integer powers of
-the radial coordinate, so their pointwise derivatives near the pole u = 1
-are only approximate (the vanishing local coefficient keeps all weighted
-integrals accurate); invariant and even-frequency fields resolve to
-roundoff.
+differentiation matrix of the Gauss-Legendre nodes; angular derivatives are
+the FFT's spectral derivatives, applied as real n_theta x n_theta matrices.
+Fields with odd angular frequency carry half-integer powers of the radial
+coordinate, so their pointwise derivatives near the pole u = 1 are only
+approximate (the vanishing local coefficient keeps all weighted integrals
+accurate); invariant and even-frequency fields resolve to roundoff.
 
 The two grid classes share one set of methods (field shape, broadcasting of
 radial profiles, base Laplacian and gradient pairing, rotation, Gram forms
 and their contractions), so this module is the only one that knows which
 kind of grid it holds.  A radial grid holds its Gram forms as the
 log-diagonal log h_j in the monomial basis and contracts them by
-log-sum-exp, with no matrix factorization and no overflow at high degree;
-the full 2D grid holds dense P^dagger P forms and contracts them through a
-Cholesky factor.
+log-sum-exp, with no matrix factorization and no overflow at high degree.
+The full 2D grid holds dense forms.  Since |s_a||s_b| depends only on a + b
+and the angle enters only as e^{i(b-a) theta}, it forms and contracts them
+through a real n_u x (2k+1) pair table and one angular FFT, never through
+a table of the sections at every node; a contraction with H^{-1} goes
+through a Cholesky factor, which checks positivity.
 
 Every field operator also takes a block of fields stacked along leading
 axes, as the path rule evaluates all its nodes at once: values of shape
@@ -162,14 +165,6 @@ class RadialGrid:
         columns = values.reshape(-1, self.resolution).T
         return (matrix @ columns).T.reshape(values.shape)
 
-    def d_drho(self, values: np.ndarray) -> np.ndarray:
-        return (1.0 - self.u) ** 2 * self.apply_radial(self.D, values)
-
-    def ddbar(self, values: np.ndarray) -> np.ndarray:
-        """Mixed chart derivative d_z d_zbar of a radial field: (rho f')'."""
-        f_rho = self.d_drho(values)
-        return self.d_drho(self.rho * f_rho)
-
     def broadcast(self, radial_values: np.ndarray) -> np.ndarray:
         """The field of a radial profile."""
         return radial_values
@@ -279,7 +274,7 @@ class RadialGrid:
 
 def _field_by_field(op):
     """Let a 2D field operator take a block by running it on one field at a
-    time, so its complex FFT temporaries stay the size of one field."""
+    time, so its temporaries stay the size of one field."""
 
     @wraps(op)
     def run(self, values: np.ndarray, *args) -> np.ndarray:
@@ -330,10 +325,6 @@ class Full2DGrid:
     def _m(self) -> np.ndarray:
         return np.fft.fftfreq(self.n_theta, d=1.0 / self.n_theta)
 
-    @cached_property
-    def _a0(self) -> np.ndarray:
-        return ((1.0 - self.u) ** 2)[:, None]
-
     def integrate(self, values: np.ndarray, weights: np.ndarray | None = None, keepdims: bool = False):
         """The integral of each field of a block; ``keepdims`` keeps unit field axes.
 
@@ -347,21 +338,17 @@ class Full2DGrid:
         """matrix applied along the radial axis of each field."""
         return matrix @ values
 
-    def d_drho(self, values: np.ndarray) -> np.ndarray:
-        return self._a0 * (self.radial.D @ values)
+    @cached_property
+    def _angular(self) -> tuple[np.ndarray, np.ndarray]:
+        """Spectral d/dtheta and d^2/dtheta^2 as real n_theta x n_theta right
+        factors A, f @ A = Re ifft(symbol * fft f), the Nyquist mode included."""
+        spec = np.fft.fft(np.eye(self.n_theta), axis=-1)
+        return tuple(np.real(np.fft.ifft(symbol * spec, axis=-1)) for symbol in (1j * self._m, -(self._m**2)))
 
-    @_field_by_field
-    def d_dtheta(self, values: np.ndarray) -> np.ndarray:
-        spec = np.fft.fft(values, axis=-1)
-        return np.real(np.fft.ifft(1j * self._m * spec, axis=-1))
-
-    def ddbar(self, values: np.ndarray) -> np.ndarray:
-        """d_z d_zbar f = (rho f_rho)_rho + f_theta_theta / (4 rho)."""
-        spec = np.fft.fft(values, axis=-1)
-        rho = self.radial.rho[:, None]
-        radial = self.d_drho(rho * self.d_drho(spec))
-        angular = -(self._m**2) * spec / (4.0 * rho)
-        return np.real(np.fft.ifft(radial + angular, axis=-1))
+    @cached_property
+    def _uv(self) -> np.ndarray:
+        """u (1-u) as a column: the radial factor of both base operators."""
+        return (self.u * (1.0 - self.u))[:, None]
 
     def broadcast(self, radial_values: np.ndarray) -> np.ndarray:
         return np.repeat(radial_values[..., None], self.n_theta, axis=-1)
@@ -371,15 +358,14 @@ class Full2DGrid:
 
     @_field_by_field
     def base_laplace(self, values: np.ndarray) -> np.ndarray:
-        """Delta_0 f = -(d_z d_zbar f)/A_0."""
-        return -self.ddbar(values) / self._a0
+        """Delta_0 f = -(d_z d_zbar f)/A_0 = -(u (1-u) f_u)_u - f_theta_theta / (4 u (1-u))."""
+        D = self.radial.D
+        return -(D @ (self._uv * (D @ values))) - (values @ self._angular[1]) / (4.0 * self._uv)
 
     def base_inner_grad(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """(d_z f, d_z g)/A_0 = (rho f_rho g_rho + f_theta g_theta/(4 rho))/A_0."""
-        rho = self.radial.rho[:, None]
-        fr, gr = self.d_drho(f), self.d_drho(g)
-        ft, gt = self.d_dtheta(f), self.d_dtheta(g)
-        return (rho * fr * gr + ft * gt / (4.0 * rho)) / self._a0
+        """(d_z f, d_z g)/A_0 = u (1-u) f_u g_u + f_theta g_theta / (4 u (1-u))."""
+        D, A = self.radial.D, self._angular[0]
+        return self._uv * (D @ f) * (D @ g) + (f @ A) * (g @ A) / (4.0 * self._uv)
 
     def rotate(self, values: np.ndarray, angle: float) -> np.ndarray:
         """Values of f(e^{i angle} z), through the angular spectrum."""
@@ -390,46 +376,73 @@ class Full2DGrid:
         spec = np.fft.fft(values, axis=-1)
         return np.real(np.fft.ifft(spec * np.exp(1j * self._m * angle), axis=-1))
 
-    def _sections(self, k: int) -> np.ndarray:
-        """s_j(z) weighted by the base half-norm: z^j (1+rho)^{-k/2}, flattened.
+    def _pair_table(self, k: int) -> np.ndarray:
+        """q[u, p] = |s_a||s_b| for a + b = p: u^{p/2} (1-u)^{k-p/2}, shape (n_u, 2k+1).
 
-        Magnitudes are u^{j/2} (1-u)^{(k-j)/2} <= 1, so the table stays in range
-        for any degree.
+        Every entry lies in [0, 1], so products stay in range for any degree.
         """
-        mag = np.exp(0.5 * self.radial.log_section_norms(k))  # (n_u, k+1)
-        phase = np.exp(1j * self.theta[:, None] * np.arange(k + 1)[None, :])  # (n_theta, k+1)
-        return (mag[:, None, :] * phase[None, :, :]).reshape(-1, k + 1)
+        return np.exp(0.5 * self.radial.log_section_norms(2 * k))
 
     def gram(self, k: int, weight: np.ndarray) -> tuple[np.ndarray, None]:
-        """(sum_nodes weight (s_a, s_b), None), assembled as P^dagger P (Hermitian PSD)."""
-        P = self._sections(k) * np.sqrt(weight.ravel())[:, None]
-        return P.conj().T @ P, None
+        """(H, None) with H_ab = sum_nodes weight conj(s_a) s_b = sum_u q[u, a+b] W[u, b-a].
 
-    def section_table(self, k: int, coeffs: np.ndarray) -> np.ndarray:
-        """|tau_a|^2 at the nodes for tau_a = sum_j coeffs[j, a] s_j, shape (n_u, n_theta, N)."""
-        B = self._sections(k) @ coeffs
-        return (np.abs(B) ** 2).reshape(self.shape + (coeffs.shape[1],))
+        W[u, c] = sum_theta weight e^{i c theta} comes from one real FFT; the
+        c >= 0 half is contracted with the pair table and the other half is
+        its conjugate, so H is exactly Hermitian.
+        """
+        n = self.n_theta
+        c = np.arange(k + 1)
+        F = np.fft.rfft(weight, axis=-1)[:, np.minimum(c, n - c)]
+        W = np.ascontiguousarray(np.where(c <= n // 2, F.conj(), F))  # c > n/2 reads bin n - c
+        # T[a+b, b-a], by one real product on the (re, im) pairs of W
+        T = (self._pair_table(k).T @ W.view(np.float64)).view(np.complex128)
+        a = c[:, None]
+        H = T[a + c, np.abs(c - a)]
+        return np.where(c < a, H.conj(), H), None
+
+    def _contract(self, k: int, M: np.ndarray) -> np.ndarray:
+        """sum_jl M_jl s_j conj(s_l) at the nodes, for Hermitian M or a stack of them.
+
+        The lower triangle of M is scattered to Mt[j+l, j-l]; the pair table
+        turns it into the angular spectrum at every radius, whose frequencies
+        fold into the n_theta bins of one inverse real FFT.
+        """
+        n = self.n_theta
+        j, l = np.tril_indices(k + 1)
+        Mt = np.zeros(M.shape[:-2] + (2 * k + 1, k + 1), dtype=complex)
+        Mt[..., j + l, j - l] = M[..., j, l]
+        R = (self._pair_table(k) @ Mt.view(np.float64)).view(np.complex128)  # frequency d >= 0
+        half = n // 2 + 1
+        spec = np.zeros(R.shape[:-1] + (half,), dtype=complex)
+        top = min(k + 1, half)
+        spec[..., :top] = R[..., :top]
+        if n - k < half:  # frequency -d lands in bin n - d
+            spec[..., n - k : half] += R[..., k : n - half : -1].conj()
+        return n * np.fft.irfft(spec, n, axis=-1)
 
     def log_density(self, form) -> np.ndarray:
-        """log sum_{ab} (H^{-1})_{ba} (s_a, s_b) at the nodes.
+        """log sum_{ab} (H^{-1})_{ab} s_a conj(s_b) at the nodes.
 
-        With H = L L^dagger the columns of L^{-dagger} are an H-orthonormal
-        basis, whose squared norms sum to the contraction.
+        H^{-1} = L^{-dagger} L^{-1} comes from the Cholesky factor, which
+        checks positivity.
         """
         Linv = np.linalg.inv(form.cholesky())
-        return np.log(self.section_table(form.degree, Linv.conj().T).sum(axis=-1))
+        return np.log(self._contract(form.degree, Linv.conj().T @ Linv))
 
     def geodesic_slope(self, geo, s: float) -> np.ndarray:
         """sum_a 2 lam_a e^{-2 lam_a s}|tau_a|^2 over sum_a e^{-2 lam_a s}|tau_a|^2 at the nodes.
 
-        A geodesic between diagonal forms has monomial tau_a, whose norms
-        carry no angle.
+        With tau_a = sum_j C_ja s_j both sums are contractions, of
+        C diag(2 lam w) C^dagger and C diag(w) C^dagger.  A geodesic between
+        diagonal forms has monomial tau_a, whose norms carry no angle.
         """
         if geo.coeffs is None:
             return self.broadcast(self.radial.geodesic_slope(geo, s))
-        tau_sq = self.section_table(geo.degree, geo.coeffs)
+        C = geo.coeffs
         w = np.exp(-2.0 * geo.lambdas * s)
-        return (tau_sq @ (2.0 * geo.lambdas * w)) / (tau_sq @ w)
+        scales = np.stack([2.0 * geo.lambdas * w, w])[:, None, :]
+        num, den = self._contract(geo.degree, (C * scales) @ C.conj().T)
+        return num / den
 
     def log_det(self, form) -> float:
         sign, logdet = np.linalg.slogdet(form.dense())

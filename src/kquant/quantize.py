@@ -159,8 +159,8 @@ def hilb(pot: Potential, k: int, md: MetricData | None = None) -> HermForm:
     """L^2 Gram form of the degree-k sections against e^{-k phi} d mu_phi.
 
     The grid chooses the form: a radial grid returns the log-diagonal of the
-    (diagonal) monomial Gram form; the full 2D grid assembles the Gram
-    matrix as P^dagger P, Hermitian positive semidefinite by construction.
+    (diagonal) monomial Gram form; the full 2D grid assembles the exactly
+    Hermitian Gram matrix from angular Fourier sums of the weight.
     """
     md = metric_data(pot) if md is None else md
     weight = np.exp(-k * pot.values) * md.volume_weights

@@ -31,7 +31,7 @@ from kquant import (
 )
 from kquant.functionals import S_NODES
 
-from helpers import path_integral_by_node
+from helpers import laplace_floor, path_integral_by_node
 
 V = rotation_field(1.0)
 K = 8
@@ -124,13 +124,6 @@ def assert_stacked(batched, singles, floor=0.0):
     stacked = np.stack(singles)
     assert batched.shape == stacked.shape
     assert np.all(np.abs(batched - stacked) <= 1e-13 * max(1.0, np.max(np.abs(stacked))) + floor)
-
-
-def laplace_floor(grid, F):
-    """Forward error bound n eps |D| (u(1-u) |D| |F|) of the radial products in Delta_0 F."""
-    absD = np.abs(grid.radial.D)
-    uu = grid.broadcast(grid.u * (1.0 - grid.u))
-    return grid.resolution * np.finfo(float).eps * grid.apply_radial(absD, uu * grid.apply_radial(absD, np.abs(F)))
 
 
 def test_grid_operators_take_a_leading_batch_axis(grid):

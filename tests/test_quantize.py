@@ -26,7 +26,7 @@ from kquant import (
     zero_potential,
 )
 
-from helpers import hermitian_defect, section_matrix, write_iteration_csv
+from helpers import hermitian_defect, radial_ddbar, section_matrix, write_iteration_csv
 
 
 def eigh_contraction(form: HermForm, grid) -> np.ndarray:
@@ -180,7 +180,7 @@ def test_psi_normalization_and_curvature_residual(radial, bump):
     pulled = lift.pullback_potential(bump)
     a0 = (1.0 - radial.u) ** 2  # A_phi = (1-u)^2 * density
     lhs = (a0 * metric_data(pulled).density - a0 * md.density) / (2.0 * np.pi)
-    rhs = radial.ddbar(psi.values)
+    rhs = radial_ddbar(radial, psi.values)
     assert np.max(np.abs(lhs - rhs)) <= 1e-8
 
 
