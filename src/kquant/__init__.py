@@ -25,7 +25,6 @@ from .geometry import (
     potential_from_radial_coeffs,
     potential_from_values,
     rotation_field,
-    save_potential,
     sections_dim,
     sigma_lift,
     zero_potential,
@@ -41,9 +40,7 @@ from .quantize import (
     bergman,
     fs,
     hilb,
-    load_herm_form,
     psi_potential,
-    save_herm_form,
     sigma_balanced_iterate,
 )
 from .functionals import (

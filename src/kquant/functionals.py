@@ -106,13 +106,9 @@ class PathInPotentials:
         coefs = [P.polyval(s, c) for _, c in self.terms]
         profile = None
         if all(p.profile is not None for p in pots):
-            n = max(len(p.profile[1]) for p in pots)
-            c0 = sum(a * p.profile[0] for a, p in zip(coefs, pots))
-            cs = tuple(
-                sum(a * (p.profile[1][i] if i < len(p.profile[1]) else 0.0) for a, p in zip(coefs, pots))
-                for i in range(n)
-            )
-            profile = (c0, cs)
+            n = max(len(p.profile) for p in pots)
+            padded = [np.pad(p.profile, (0, n - len(p.profile))) for p in pots]
+            profile = sum(np.multiply.outer(c, a) for c, a in zip(padded, coefs))
         return Potential(pots[0].grid, self._combine(coefs), all(p.invariant for p in pots), profile)
 
     def _combine(self, coefs) -> np.ndarray:
@@ -195,10 +191,10 @@ def circle_group(V: VectorFieldSpec | None = None) -> GroupSpec:
 def i_k(form: HermForm, grid) -> float:
     """log det relative to the base Gram form at the zero potential.
 
-    On a radial grid both forms are diagonal and this is sum_j log h_j -
-    sum_j log B(j+1, k-j+1).
+    On a radial grid the base form is diagonal and this is sum_j log h_j -
+    sum_j log B(j+1, k-j+1) for a diagonal ``form``.
     """
-    return grid.log_det(form) - grid.log_det(hilb(zero_potential(grid), form.degree))
+    return form.log_det() - hilb(zero_potential(grid), form.degree).log_det()
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ __all__ = [
     "potential_from_radial_coeffs",
     "potential_from_values",
     "load_potential",
-    "save_potential",
     "MetricData",
     "metric_data",
     "VectorFieldSpec",
@@ -80,17 +79,18 @@ class Potential:
     full 2D grid, after any leading batch axes: a block of potentials, such
     as a path at all its quadrature nodes, is one Potential.  ``invariant``
     marks circle-invariant data (always true in radial mode).  ``profile``
-    optionally carries the exact u-polynomial (constant, degree-1-and-up
-    coefficients, each a number or an array of the batch shape) the values
-    were sampled from; derived metric quantities then use exact polynomial
-    derivatives on the radial nodes of either grid instead of spectral
-    differentiation, which matters for sup-norm tests near the pole u = 1.
+    optionally carries the exact u-polynomial the values were sampled from,
+    up to a constant: the coefficients of u, u^2, ..., one row per power,
+    with the batch shape after it.  Derived metric quantities then use exact
+    polynomial derivatives on the radial nodes of either grid instead of
+    spectral differentiation, which matters for sup-norm tests near the
+    pole u = 1; none of them reads the constant.
     """
 
     grid: RadialGrid | Full2DGrid
     values: np.ndarray
     invariant: bool = True
-    profile: tuple[float, tuple[float, ...]] | None = None
+    profile: np.ndarray | None = None
 
     def __post_init__(self):
         if self.values.shape[-len(self.grid.shape) :] != self.grid.shape:
@@ -103,19 +103,12 @@ class Potential:
         return Potential(self.grid, values, inv)
 
     def scaled(self, t: float) -> "Potential":
-        prof = None
-        if self.profile is not None:
-            c0, cs = self.profile
-            prof = (t * c0, tuple(t * c for c in cs))
+        prof = None if self.profile is None else t * self.profile
         return Potential(self.grid, t * self.values, self.invariant, prof)
 
     def shifted(self, c: float) -> "Potential":
         """Add a constant; the metric is unchanged, the Gram form rescales."""
-        prof = None
-        if self.profile is not None:
-            c0, cs = self.profile
-            prof = (c0 + c, cs)
-        return Potential(self.grid, self.values + c, self.invariant, prof)
+        return Potential(self.grid, self.values + c, self.invariant, self.profile)
 
     def mean_normalized(self) -> "Potential":
         """Subtract the base-measure mean; fixes additive gauge."""
@@ -128,17 +121,16 @@ class Potential:
 
 
 def zero_potential(grid) -> Potential:
-    return Potential(grid, np.zeros(grid.shape), profile=(0.0, ()))
+    return Potential(grid, np.zeros(grid.shape), profile=np.zeros(0))
 
 
 def potential_from_radial_coeffs(grid, coeffs) -> Potential:
     """phi = sum_m c_m u^m with u = rho/(1+rho); invariant by construction."""
-    coeffs = np.asarray(coeffs, dtype=float)
+    coeffs = np.array(coeffs, dtype=float)
     vals = np.zeros_like(grid.u)
     for m, c in enumerate(coeffs, start=1):
         vals = vals + c * grid.u**m
-    prof = (0.0, tuple(float(c) for c in coeffs))
-    return Potential(grid, grid.broadcast(vals), profile=prof)
+    return Potential(grid, grid.broadcast(vals), profile=coeffs)
 
 
 def potential_from_values(grid, values, invariant: bool | None = None) -> Potential:
@@ -146,12 +138,6 @@ def potential_from_values(grid, values, invariant: bool | None = None) -> Potent
     if invariant is None:
         invariant = bool(np.allclose(values, grid.broadcast(grid.radial_part(values))))
     return Potential(grid, values, invariant)
-
-
-def save_potential(path, pot: Potential) -> None:
-    lines = [f"{key}: {value}" for key, value in pot.grid.header.items()]
-    lines.append("values: " + " ".join(f"{v:.17g}" for v in np.ravel(pot.values)))
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_potential(path, grid=None) -> Potential:
@@ -201,7 +187,7 @@ def load_potential(path, grid=None) -> Potential:
 # Metric data
 
 
-def _profile_fields(u: np.ndarray, profile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _profile_fields(u: np.ndarray, profile: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact g1, density and scalar curvature of a u-polynomial potential.
 
     With g1 = u(1-u) phi_u (so that rho F' = u + g1) the density is 1 + g1'
@@ -220,8 +206,7 @@ def _profile_fields(u: np.ndarray, profile) -> tuple[np.ndarray, np.ndarray, np.
         out[2:] -= c
         return out
 
-    c0, cs = profile
-    coeffs = np.array(np.broadcast_arrays(c0, *cs), dtype=float)
+    coeffs = np.concatenate([np.zeros((1,) + profile.shape[1:]), profile])
     g1 = times_uu(der(coeffs))
     dens_c = der(g1)
     dens_c[0] += 1.0

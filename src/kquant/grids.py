@@ -15,14 +15,16 @@ accurate); invariant and even-frequency fields resolve to roundoff.
 The two grid classes share one set of methods (field shape, broadcasting of
 radial profiles, base Laplacian and gradient pairing, rotation, Gram forms
 and their contractions), so this module is the only one that knows which
-kind of grid it holds.  A radial grid holds its Gram forms as the
+kind of grid it holds.  A radial grid makes its Gram forms as the
 log-diagonal log h_j in the monomial basis and contracts them by
-log-sum-exp, with no matrix factorization and no overflow at high degree.
-The full 2D grid holds dense forms.  Since |s_a||s_b| depends only on a + b
-and the angle enters only as e^{i(b-a) theta}, it forms and contracts them
-through a real n_u x (2k+1) pair table and one angular FFT, never through
-a table of the sections at every node; a contraction with H^{-1} goes
-through a Cholesky factor, which checks positivity.
+log-sum-exp, with no matrix factorization and no overflow at high degree;
+it refuses a dense form.  The full 2D grid makes dense forms.  Since
+|s_a||s_b| depends only on a + b and the angle enters only as
+e^{i(b-a) theta}, it forms and contracts them through a real n_u x (2k+1)
+pair table and one angular FFT, never through a table of the sections at
+every node; a contraction with H^{-1} goes through a Cholesky factor, which
+checks positivity.  The log-determinant is the form's own, so no grid
+takes one.
 
 Every field operator also takes a block of fields stacked along leading
 axes, as the path rule evaluates all its nodes at once: values of shape
@@ -55,10 +57,6 @@ class KQuantError(ValueError):
 
 
 class GridError(KQuantError):
-    pass
-
-
-class NotPositiveDefiniteError(KQuantError):
     pass
 
 
@@ -226,22 +224,11 @@ class RadialGrid:
         return table, np.exp(g - shift), shift
 
     def _log_diagonal(self, form) -> np.ndarray:
-        """log h_j of a form contracted here; a dense form is checked and converted.
-
-        Circle-invariant weights pair only equal monomials, so a form this grid
-        can contract is diagonal in the monomial basis.
-        """
-        if form.log_diag is not None:
-            return form.log_diag
-        diag = np.diagonal(form.entries)
-        if np.max(np.abs(form.entries - np.diag(diag))) > 1e-10 * np.max(np.abs(diag)):
-            raise KQuantError(
-                "non-diagonal form contracted against a radial grid; "
-                "use the full 2D grid for non-invariant data"
-            )
-        if not np.all(diag.real > 0.0):
-            raise NotPositiveDefiniteError("form is not positive definite")
-        return np.log(diag.real)
+        """log h_j of a form contracted here: a log-diagonal form, the only kind
+        ``gram`` makes, since circle-invariant weights pair only equal monomials."""
+        if form.log_diag is None:
+            raise KQuantError("dense form contracted against a radial grid; use the full 2D grid")
+        return form.log_diag
 
     def gram(self, k: int, weight: np.ndarray) -> tuple[None, np.ndarray]:
         """(None, log h_j) with h_j = sum_nodes weight |s_j|^2.
@@ -261,15 +248,12 @@ class RadialGrid:
         """sum_j 2 lam_j |s_j|^2 / h_j(s) over sum_j |s_j|^2 / h_j(s) at the nodes.
 
         Between diagonal forms log h_j(s) = log h0_j + 2 lam_j s with
-        2 lam = log h1 - log h0; dense endpoints are checked and converted.
+        2 lam = log h1 - log h0.
         """
         log_h0 = self._log_diagonal(geo.H0)
         rate = self._log_diagonal(geo.H1) - log_h0
         table, terms, _ = self._contract(geo.degree, log_h0 + rate * s)
         return (table @ (rate * terms)) / (table @ terms)
-
-    def log_det(self, form) -> float:
-        return float(np.sum(self._log_diagonal(form)))
 
 
 def _field_by_field(op):
@@ -443,12 +427,6 @@ class Full2DGrid:
         scales = np.stack([2.0 * geo.lambdas * w, w])[:, None, :]
         num, den = self._contract(geo.degree, (C * scales) @ C.conj().T)
         return num / den
-
-    def log_det(self, form) -> float:
-        sign, logdet = np.linalg.slogdet(form.dense())
-        if sign.real <= 0:
-            raise NotPositiveDefiniteError("form must be positive definite")
-        return float(logdet)
 
 
 def check_grid(mode: str, resolution: int, n_theta: int, degree: int) -> None:

@@ -171,7 +171,7 @@ class _Ctx:
             "resolution": self.cfg.resolution,
             "n_theta": self.grid.header.get("n_theta"),
             "seed": self.cfg.seed,
-            "potential": list(self.pot.profile[1]) if self.pot.profile else "samples",
+            "potential": "samples" if self.pot.profile is None else self.pot.profile.tolist(),
         }
 
 

@@ -18,7 +18,6 @@ int e^psi d mu_phi = N_k / k.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .geometry import (
     metric_data,
     sections_dim,
 )
-from .grids import NotPositiveDefiniteError
 
 __all__ = [
     "HermForm",
@@ -46,9 +44,11 @@ __all__ = [
     "balanced_residual",
     "IterationLog",
     "sigma_balanced_iterate",
-    "save_herm_form",
-    "load_herm_form",
 ]
+
+
+class NotPositiveDefiniteError(KQuantError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -116,39 +116,14 @@ class HermForm:
         except np.linalg.LinAlgError:
             raise NotPositiveDefiniteError("form is not positive definite") from None
 
-    def scaled(self, c: float) -> "HermForm":
-        if self.log_diag is not None and c > 0.0:
-            return HermForm(None, self.degree, log_diag=self.log_diag + np.log(c))
-        return HermForm(entries=c * self.dense(), degree=self.degree)
-
-
-def save_herm_form(path, form: HermForm) -> None:
-    lines = [f"degree: {form.degree}"]
-    for row in form.dense():
-        lines.append(" ".join(f"{v.real:.17g} {v.imag:.17g}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_herm_form(path) -> HermForm:
-    try:
-        lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    except OSError as err:
-        raise KQuantError(f"cannot read herm form file: {err}") from None
-    if not lines or not lines[0].lower().startswith("degree:"):
-        raise KQuantError("herm form file must start with a degree header")
-    try:
-        k = int(lines[0].split(":")[1])
-        rows = [[float(t) for t in ln.split()] for ln in lines[1:]]
-    except ValueError as err:
-        raise KQuantError(f"herm form file has a non-numeric entry: {err}") from None
-    n = sections_dim(k)
-    if len(rows) != n:
-        raise KQuantError(f"expected {n} matrix rows, found {len(rows)}")
-    for i, row in enumerate(rows):
-        if len(row) != 2 * n:
-            raise KQuantError(f"matrix row {i} has {len(row)} numbers, expected {2 * n}")
-    # each row holds n (real, imaginary) pairs, the memory layout of complex128
-    return HermForm(entries=np.array(rows).view(complex), degree=k)
+    def log_det(self) -> float:
+        """log det H: the sum of ``log_diag``, or a determinant that checks positivity."""
+        if self.log_diag is not None:
+            return float(np.sum(self.log_diag))
+        sign, logdet = np.linalg.slogdet(self.entries)
+        if sign.real <= 0:
+            raise NotPositiveDefiniteError("form must be positive definite")
+        return float(logdet)
 
 
 # ---------------------------------------------------------------------------

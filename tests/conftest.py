@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread unless the environment says otherwise: threaded BLAS on a
+# small machine slows the suite sharply while another process is busy.  Set
+# before numpy is first imported, which is when BLAS reads these.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import numpy as np
 import pytest
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as P
 
 from kquant import (
     HermForm,
@@ -61,7 +62,8 @@ def test_i_k_base_and_scaling(radial, flat):
     H = hilb(flat, 6)
     assert abs(i_k(H, radial)) <= 1e-12
     c = 1.7
-    assert abs(i_k(H.scaled(c), radial) - sections_dim(6) * np.log(c)) <= 1e-10
+    scaled = HermForm(None, 6, log_diag=H.log_diag + np.log(c))
+    assert abs(i_k(scaled, radial) - sections_dim(6) * np.log(c)) <= 1e-10
 
 
 def test_i_k_affine_along_geodesics(radial):
@@ -82,7 +84,7 @@ def test_geodesic_endpoints_and_homothety(radial):
     assert np.max(np.abs(geo.form_at(0.0).entries - H0.entries)) <= 1e-10
     assert np.max(np.abs(geo.form_at(1.0).entries - H1.entries)) <= 1e-10
     c = 2.3
-    hom = bk_geodesic(H0, H0.scaled(c))
+    hom = bk_geodesic(H0, HermForm(None, k, log_diag=H0.log_diag + np.log(c)))
     assert np.max(np.abs(hom.lambdas - 0.5 * np.log(c))) <= 1e-12
     assert abs(geodesic_distance(hom) - np.sqrt(k + 1.0) * abs(np.log(c))) <= 1e-10
 
@@ -161,11 +163,11 @@ def test_gradient_check_gradient_twist(radial, bump):
     assert worst[16] <= worst[8] / 2.0
 
 
-def builder_paths(radial, bump):
+def builder_paths(grid, bump):
     """Each path builder's legs, with whether its points keep the exact profile."""
-    mid = potential_from_radial_coeffs(radial, [-0.02, 0.04, 0.015])
+    mid = potential_from_radial_coeffs(grid, [-0.02, 0.04, 0.015])
     rng = np.random.default_rng(5)
-    vel, acc = (potential_from_radial_coeffs(radial, rng.uniform(-0.03, 0.03, 3)).values for _ in range(2))
+    vel, acc = (potential_from_radial_coeffs(grid, rng.uniform(-0.03, 0.03, 3)).values for _ in range(2))
     return {
         "linear": ([linear_path(bump)], True),
         "reparam": ([reparam_path(bump, power=3)], True),
@@ -187,6 +189,34 @@ def test_path_derivatives_and_profiles(radial, bump, name):
             assert np.max(np.abs(path.dphi(s) - (above - below) / (2 * h))) <= tol
             assert np.max(np.abs(path.d2phi(s) - (above - 2 * here + below) / h**2)) <= tol
             assert (path.phi(s).profile is not None) == keeps_profile
+
+
+def profile_offsets(pot) -> np.ndarray:
+    """Spread of values minus the field of the exact profile, over each field of a block."""
+    coeffs = np.concatenate([np.zeros((1,) + pot.profile.shape[1:]), pot.profile])
+    gap = pot.values - pot.grid.broadcast(P.polyval(pot.grid.u, coeffs))
+    return np.ptp(gap, axis=tuple(range(-len(pot.grid.shape), 0)))
+
+
+@pytest.mark.parametrize("mode", ["radial", "full2d"])
+def test_profiles_drop_only_a_constant(radial, grid2d, mode):
+    # The profile leaves out the constant term, which no metric quantity reads;
+    # the values keep it, so the two differ by one constant per field.
+    grid = radial if mode == "radial" else grid2d
+    pot = potential_from_radial_coeffs(grid, [0.05, -0.07, 0.02])
+    shifted = pot.shifted(0.3)
+    pots = [pot.scaled(-0.6), shifted, shifted.scaled(2.0), shifted.mean_normalized()]
+    for legs, keeps_profile in builder_paths(grid, shifted).values():
+        for leg in legs:
+            block = leg.phi(S_NODES)
+            assert (block.profile is not None) == keeps_profile
+            if keeps_profile:
+                assert block.profile.shape[1:] == S_NODES.shape
+                pots.append(block)
+    for p in pots:
+        assert np.max(profile_offsets(p)) <= 1e-14
+    for got, want in zip(shifted._exact_fields, pot._exact_fields):
+        assert np.array_equal(got, want)
 
 
 def test_path_independence_exact_for_reference_twist(radial, bump):
@@ -239,7 +269,7 @@ def test_z_scale_invariance_and_base_value(radial, flat, bump):
     k = 6
     H = hilb(bump, k)
     z1 = z_sigma_k(H, radial)
-    z2 = z_sigma_k(H.scaled(3.1), radial)
+    z2 = z_sigma_k(HermForm(None, k, log_diag=H.log_diag + np.log(3.1)), radial)
     assert abs(z1 - z2) <= 1e-8
     assert abs(z_sigma_k(hilb(flat, k), radial)) <= 1e-9
 
@@ -383,9 +413,9 @@ def test_energy_primitive_keeps_exact_profile(monkeypatch, bump):
 
     monkeypatch.setattr(kquant.functionals, "metric_data", spy)
     mabuchi_energy(bump)
-    # one block call covers the 32 nodes, and its profile holds one coefficient per node
+    # one block call covers the 32 nodes, and its profile holds a row per power, a column per node
     assert len(seen) == 1 and seen[0] is not None
-    assert np.shape(seen[0][1][0]) == S_NODES.shape
+    assert seen[0].shape == (len(bump.profile),) + S_NODES.shape
 
 
 @pytest.mark.parametrize("energy", ["moment", "relative"])

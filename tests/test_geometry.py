@@ -16,7 +16,6 @@ from kquant import (
     potential_from_radial_coeffs,
     potential_from_values,
     rotation_field,
-    save_potential,
     sections_dim,
     sigma_balanced_iterate,
     sigma_lift,
@@ -70,8 +69,7 @@ def polynomial_profile_fields(u, profile):
     """Reference: the profile fields through numpy.polynomial, one call per step."""
     from numpy.polynomial import polynomial as P
 
-    c0, cs = profile
-    phi = np.concatenate(([c0], np.asarray(cs, dtype=float)))
+    phi = np.concatenate(([0.0], profile))
     uu = np.array([0.0, 1.0, -1.0])
     g1 = P.polymul(uu, P.polyder(phi)) if len(phi) > 1 else np.array([0.0])
     dens_c = P.polyadd(np.array([1.0]), P.polyder(g1))
@@ -86,8 +84,8 @@ def polynomial_profile_fields(u, profile):
 def test_profile_fields_match_numpy_polynomial(n):
     u = build_grid("radial", n).u
     rng = np.random.default_rng(n)
-    profiles = [(0.0, ()), (0.0, (0.0,)), (0.3, (0.05, 0.0)), (0.0, (0.0, 0.0, 0.2))]
-    profiles += [(rng.uniform(-1, 1), tuple(rng.uniform(-0.1, 0.1, m))) for m in range(1, 7) for _ in range(5)]
+    profiles = [np.zeros(0), np.zeros(1), np.array([0.05, 0.0]), np.array([0.0, 0.0, 0.2])]
+    profiles += [rng.uniform(-0.1, 0.1, m) for m in range(1, 7) for _ in range(5)]
     for profile in profiles:
         for got, want in zip(_profile_fields(u, profile), polynomial_profile_fields(u, profile)):
             assert np.array_equal(got, want)
@@ -294,7 +292,8 @@ def test_sections_dim():
 
 def test_potential_io_roundtrip(tmp_path, radial, bump):
     path = tmp_path / "pot.txt"
-    save_potential(path, bump)
+    samples = " ".join(f"{v:.17g}" for v in bump.values)
+    path.write_text(f"mode: radial\nresolution: {radial.resolution}\nvalues: {samples}\n")
     back = load_potential(path, radial)
     assert np.max(np.abs(back.values - bump.values)) == 0.0
 

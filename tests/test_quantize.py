@@ -13,12 +13,10 @@ from kquant import (
     fs,
     hilb,
     identity_lift,
-    load_herm_form,
     metric_data,
     potential_from_radial_coeffs,
     potential_from_values,
     psi_potential,
-    save_herm_form,
     sections_dim,
     sigma_balanced_iterate,
     sigma_lift,
@@ -99,14 +97,14 @@ def test_fs_of_base_gram_is_zero(radial, flat):
 def test_fs_scaling_law(radial, flat):
     H = hilb(flat, 8)
     p1 = fs(H, radial)
-    p2 = fs(H.scaled(2.5), radial)
+    p2 = fs(HermForm(None, 8, log_diag=H.log_diag + np.log(2.5)), radial)
     assert np.max(np.abs(p2.values - (p1.values - np.log(2.5) / 8))) <= 1e-12
 
 
-def test_fs_rejects_non_positive(radial):
+def test_fs_rejects_non_positive(grid2d):
     bad = HermForm(np.diag([1.0, -0.5]).astype(complex), 1)
     with pytest.raises(NotPositiveDefiniteError):
-        fs(bad, radial)
+        fs(bad, grid2d)
 
 
 def test_fs_factorization_independence(radial, grid2d, bump):
@@ -261,34 +259,6 @@ def test_iteration_log_csv(tmp_path, radial):
     lines = path.read_text().splitlines()
     assert lines[0] == "iter,residual,min_eigenvalue,energy"
     assert len(lines) == len(log.residuals) + 1
-
-
-def test_herm_form_io_roundtrip(tmp_path, radial, bump):
-    H = hilb(bump, 5)
-    path = tmp_path / "form.txt"
-    save_herm_form(path, H)
-    back = load_herm_form(path)
-    assert back.degree == 5
-    assert np.max(np.abs(back.entries - H.entries)) == 0.0
-
-
-def test_herm_form_io_rejects_garbled(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("degree: 2\n1 0 0 0 0 0\n")
-    with pytest.raises(KQuantError):
-        load_herm_form(path)
-
-
-@pytest.mark.parametrize(
-    "text",
-    ["degree: 1\n1 0 0 0\n0 0 1\n", "", "degree: one\n1 0\n", "degree: 1\n1 0 0 0\n0 0 x 0\n"],
-    ids=["short-row", "empty", "bad-degree", "non-numeric"],
-)
-def test_herm_form_io_rejects_malformed(tmp_path, text):
-    path = tmp_path / "bad.txt"
-    path.write_text(text)
-    with pytest.raises(KQuantError):
-        load_herm_form(path)
 
 
 def test_radial_contraction_rejects_non_diagonal(radial):

@@ -105,27 +105,24 @@ def test_radial_forms_need_no_factorization(monkeypatch, radial, flat, bump):
     assert H.min_eigenvalue() > 0.0
 
 
-def test_dense_diagonal_form_converts_on_a_radial_grid(radial, flat, bump):
+def test_radial_grid_refuses_dense_forms(radial, flat, bump):
     k = 12
     H, H0 = hilb(bump, k), hilb(flat, k)
     dense = HermForm(H.entries, k)
-    assert dense.log_diag is None
     doubled = dataclasses.replace(H, entries=2.0 * H.entries)
-    assert doubled.log_diag is None
+    assert dense.log_diag is None and doubled.log_diag is None
+    # the log-determinant is the form's own, so i_k reads the grid only for its reference form
     assert abs(i_k(doubled, radial) - i_k(H, radial) - (k + 1) * np.log(2.0)) <= 1e-12
-    assert np.max(np.abs(fs(dense, radial).values - fs(H, radial).values)) <= 1e-14
-    assert abs(i_k(dense, radial) - i_k(H, radial)) <= 1e-12
-    # a geodesic with a dense endpoint takes the dense route, then the grid reads it diagonally
-    mixed, diagonal = bk_geodesic(H0, dense), bk_geodesic(H0, H)
-    assert mixed.coeffs is not None and diagonal.coeffs is None
-    for s in (0.0, 0.7):
-        got = z_first_variation(mixed, radial, s)
-        assert abs(got - z_first_variation(diagonal, radial, s)) <= 1e-10 * max(1.0, abs(got))
-    half = np.diag(np.exp(0.5 * H0.log_diag))
-    coupling = np.eye(k + 1) + 0.2 * (np.eye(k + 1, k=1) + np.eye(k + 1, k=-1))
-    skew = HermForm((half @ coupling @ half).astype(complex), k)
-    with pytest.raises(KQuantError, match="2D"):
-        z_first_variation(bk_geodesic(H0, skew), radial, 0.5)
+    assert abs(dense.log_det() - H.log_det()) <= 1e-12 * abs(H.log_det())
+    for form in (dense, doubled):
+        with pytest.raises(KQuantError, match="2D"):
+            fs(form, radial)
+        with pytest.raises(KQuantError, match="2D"):
+            bergman(bump, k, form=form)
+        geo = bk_geodesic(H0, form)
+        assert geo.coeffs is not None
+        with pytest.raises(KQuantError, match="2D"):
+            z_first_variation(geo, radial, 0.5)
 
 
 def test_log_diagonal_entries_are_built_when_read(bump):
@@ -163,7 +160,7 @@ def test_radial_flows_never_read_dense_entries(monkeypatch, radial, flat, bump):
     fk_prime(bump, flat, k, lift)
     l_sigma_k(bump, k, lift)
     sigma_balanced_iterate(bump, k, lift, max_iter=2, tol=0.0, track_energy=True)
-    H.scaled(2.0).min_eigenvalue()
+    HermForm(None, k, log_diag=H.log_diag + np.log(2.0)).min_eigenvalue()
     assert read == []
 
 
