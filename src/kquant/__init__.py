@@ -45,7 +45,6 @@ from .quantize import (
 )
 from .functionals import (
     GeodesicInB,
-    GroupSpec,
     PathInPotentials,
     bergman_path,
     bk_geodesic,
@@ -53,6 +52,7 @@ from .functionals import (
     circle_group,
     delta_i_sigma,
     delta_l_sigma,
+    extremal_field,
     fk_prime,
     i_k,
     i_sigma_hessian,
@@ -62,9 +62,7 @@ from .functionals import (
     mabuchi_energy,
     modified_k_energy,
     moment_energy,
-    projection_pi,
     quadratic_path,
-    reduced_scalar,
     reparam_path,
     segment_path,
     trivial_group,

@@ -8,9 +8,9 @@ The stack couples three layers:
   differential delta I = k int eta (k + Delta)(e^psi) d mu along paths of
   potentials, and the induced functionals L = I_k o hilb + I and
   Z = I o fs + I_k - k log k;
-* classical level: Calabi energy, the K-energy, the reduced scalar
-  curvature with its circle projection, the relative K-energy, and the
-  moment-weighted energy that the twisted stack quantizes.
+* classical level: Calabi energy, the K-energy, the extremal field of a
+  group, the modified K-energy it defines, and the moment-weighted energy
+  that the twisted stack quantizes.
 
 At the identity twist the weight e^psi is constant and every identity here
 is exact up to quadrature; with a nontrivial twist the differential is
@@ -21,6 +21,7 @@ away).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -56,9 +57,9 @@ __all__ = [
     "two_leg_path",
     "quadratic_path",
     "bergman_path",
-    "GroupSpec",
     "trivial_group",
     "circle_group",
+    "extremal_field",
     "i_k",
     "delta_i_sigma",
     "i_sigma_k",
@@ -67,8 +68,6 @@ __all__ = [
     "calabi",
     "mabuchi_energy",
     "moment_energy",
-    "projection_pi",
-    "reduced_scalar",
     "modified_k_energy",
     "GeodesicInB",
     "bk_geodesic",
@@ -159,29 +158,20 @@ def bergman_path(pot: Potential, k: int) -> PathInPotentials:
 
 
 # ---------------------------------------------------------------------------
-# Group choice
+# Group choice: a compact group is named by its generator field
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """Compact symmetry choice: trivial, or the circle of a gradient field."""
-
-    kind: str  # "trivial" | "circle"
-    V: VectorFieldSpec | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("trivial", "circle"):
-            raise KQuantError(f"unknown group kind {self.kind!r}")
-        if self.kind == "circle" and (self.V is None or self.V.is_zero):
-            raise KQuantError("circle groups need a nonzero generator field")
+def trivial_group() -> VectorFieldSpec:
+    """The trivial group, whose generator is the zero field."""
+    return VectorFieldSpec(strength=0.0)
 
 
-def trivial_group() -> GroupSpec:
-    return GroupSpec(kind="trivial")
-
-
-def circle_group(V: VectorFieldSpec | None = None) -> GroupSpec:
-    return GroupSpec(kind="circle", V=V or VectorFieldSpec(strength=1.0))
+def circle_group(V: VectorFieldSpec | None = None) -> VectorFieldSpec:
+    """The circle generated by a nonzero gradient field (the standard one by default)."""
+    V = V or VectorFieldSpec(strength=1.0)
+    if V.is_zero:
+        raise KQuantError("circle groups need a nonzero generator field")
+    return V
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +179,15 @@ def circle_group(V: VectorFieldSpec | None = None) -> GroupSpec:
 
 
 def i_k(form: HermForm, grid) -> float:
-    """log det relative to the base Gram form at the zero potential.
+    """log det relative to the Gram form of the zero potential.
 
-    On a radial grid the base form is diagonal and this is sum_j log h_j -
-    sum_j log B(j+1, k-j+1) for a diagonal ``form``.
+    That form is diagonal in the monomials with h_j = int |s_j|^2 d mu_0 =
+    B(j+1, k-j+1), so the reference is sum_j log B(j+1, k-j+1) in closed
+    form; ``grid`` is not read.
     """
-    return form.log_det() - hilb(zero_potential(grid), form.degree).log_det()
+    k = form.degree
+    ref = sum(math.lgamma(j + 1) + math.lgamma(k - j + 1) - math.lgamma(k + 2) for j in range(k + 1))
+    return form.log_det() - ref
 
 
 # ---------------------------------------------------------------------------
@@ -339,42 +332,31 @@ def moment_energy(pot: Potential, V: VectorFieldSpec) -> float:
     return _energy_primitive(pot, lambda p, md: holomorphy_potential(V, p, md))
 
 
-def projection_pi(pot: Potential, group: GroupSpec, f: np.ndarray, md: MetricData | None = None) -> np.ndarray:
-    """L^2(d mu_phi) projection of f onto the normalized Killing potentials.
+def extremal_field(group: VectorFieldSpec, grid) -> VectorFieldSpec:
+    """The extremal field X = c V of the group generated by V; zero if V is.
 
-    Trivial group: zero field.  Circle group: projection onto the span of
-    the holomorphy potential of its generator.
+    c = int S theta_V d mu / int theta_V^2 d mu makes theta_X the L^2
+    projection of S onto the span of theta_V.  By Futaki-Mabuchi neither
+    integral depends on the invariant potential, so both are read at 0.
     """
-    if group.kind == "trivial":
-        return np.zeros_like(f)
-    if not pot.invariant:
-        raise KQuantError("circle projections need circle-invariant potentials")
-    md = metric_data(pot) if md is None else md
-    theta = holomorphy_potential(group.V, pot, md)
-    gram = md.integrate(theta * theta, keepdims=True)
-    if np.any(gram <= 0.0):
-        raise KQuantError("degenerate Killing potential Gram matrix")
-    return (md.integrate(f * theta, keepdims=True) / gram) * theta
+    if group.is_zero:
+        return group
+    md = metric_data(zero_potential(grid))
+    theta = holomorphy_potential(group, md.potential, md)
+    c = md.integrate(md.scalar * theta) / md.integrate(theta * theta)
+    return VectorFieldSpec(strength=float(c) * group.strength)
 
 
-def reduced_scalar(pot: Potential, group: GroupSpec, md: MetricData | None = None) -> np.ndarray:
-    """S(phi) - 2 - Pi^G S(phi): the curvature component orthogonal to the group."""
-    md = metric_data(pot) if md is None else md
-    base = md.scalar - SBAR
-    return base - projection_pi(pot, group, md.scalar, md=md)
+def modified_k_energy(pot: Potential, group: VectorFieldSpec) -> float:
+    """Modified K-energy: primitive of eta -> -int eta (S - 2 - theta_X) d mu_phi.
 
-
-def modified_k_energy(pot: Potential, group: GroupSpec) -> float:
-    """Relative K-energy: primitive of eta -> -int eta S^G(phi) d mu_phi.
-
-    Equals the K-energy for the trivial group.  Nontrivial groups require
-    invariant potentials.
+    X is the extremal field of the group; with X = 0 this is the K-energy,
+    else ``holomorphy_potential`` checks that the potentials are invariant.
     """
-    if group.kind == "trivial":
+    X = extremal_field(group, pot.grid)
+    if X.is_zero:
         return mabuchi_energy(pot)
-    if not pot.invariant:
-        raise KQuantError("relative energy needs circle-invariant potentials")
-    return _energy_primitive(pot, lambda p, md: -reduced_scalar(p, group, md=md))
+    return _energy_primitive(pot, lambda p, md: holomorphy_potential(X, p, md) - (md.scalar - SBAR))
 
 
 # ---------------------------------------------------------------------------

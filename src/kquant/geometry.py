@@ -98,9 +98,9 @@ class Potential:
                 f"potential values shape {self.values.shape} does not match grid {self.grid.shape}"
             )
 
-    def with_values(self, values: np.ndarray, invariant: bool | None = None) -> "Potential":
-        inv = self.invariant if invariant is None else invariant
-        return Potential(self.grid, values, inv)
+    def with_values(self, values: np.ndarray) -> "Potential":
+        """A potential on the same grid, flagged by the invariance of ``values``."""
+        return potential_from_values(self.grid, values)
 
     def scaled(self, t: float) -> "Potential":
         prof = None if self.profile is None else t * self.profile
@@ -135,9 +135,7 @@ def potential_from_radial_coeffs(grid, coeffs) -> Potential:
 
 def potential_from_values(grid, values, invariant: bool | None = None) -> Potential:
     values = np.asarray(values, dtype=float)
-    if invariant is None:
-        invariant = bool(np.allclose(values, grid.broadcast(grid.radial_part(values))))
-    return Potential(grid, values, invariant)
+    return Potential(grid, values, grid.is_invariant(values) if invariant is None else invariant)
 
 
 def load_potential(path, grid=None) -> Potential:
@@ -180,7 +178,7 @@ def load_potential(path, grid=None) -> Potential:
         raise KQuantError(
             f"potential file has {raw.size} values; grid shape {grid.shape} needs {np.prod(grid.shape)}"
         )
-    return Potential(grid, raw.reshape(grid.shape))
+    return potential_from_values(grid, raw.reshape(grid.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ approximate (the vanishing local coefficient keeps all weighted integrals
 accurate); invariant and even-frequency fields resolve to roundoff.
 
 The two grid classes share one set of methods (field shape, broadcasting of
-radial profiles, base Laplacian and gradient pairing, rotation, Gram forms
-and their contractions), so this module is the only one that knows which
-kind of grid it holds.  A radial grid makes its Gram forms as the
-log-diagonal log h_j in the monomial basis and contracts them by
+radial profiles, the invariance test, base Laplacian and gradient pairing,
+rotation, Gram forms and their contractions), so this module is the only one
+that knows which kind of grid it holds.  A radial grid makes its Gram forms
+as the log-diagonal log h_j in the monomial basis and contracts them by
 log-sum-exp, with no matrix factorization and no overflow at high degree;
 it refuses a dense form.  The full 2D grid makes dense forms.  Since
 |s_a||s_b| depends only on a + b and the angle enters only as
@@ -138,10 +138,6 @@ class RadialGrid:
         return {"mode": self.mode, "resolution": self.resolution}
 
     @cached_property
-    def rho(self) -> np.ndarray:
-        return self.u / (1.0 - self.u)
-
-    @cached_property
     def bary(self) -> np.ndarray:
         return barycentric_weights(self.u)
 
@@ -170,6 +166,10 @@ class RadialGrid:
     def radial_part(self, values: np.ndarray) -> np.ndarray:
         """The radial profile of a circle-invariant field."""
         return values
+
+    def is_invariant(self, values: np.ndarray) -> bool:
+        """Whether a field (or block) is circle-invariant: always, on a radial grid."""
+        return True
 
     def base_laplace(self, values: np.ndarray) -> np.ndarray:
         """Delta_0 f = -(d_z d_zbar f)/A_0 = -(u (1-u) f_u)_u.
@@ -339,6 +339,12 @@ class Full2DGrid:
 
     def radial_part(self, values: np.ndarray) -> np.ndarray:
         return values[..., 0]
+
+    def is_invariant(self, values: np.ndarray) -> bool:
+        """Circle invariance of a block: max |f - f(theta_0)| <= 1e-12 max(1, max |f|)."""
+        spread = values - values[..., :1]
+        np.abs(spread, out=spread)
+        return bool(np.max(spread) <= 1e-12 * max(1.0, np.max(values), -np.min(values)))
 
     @_field_by_field
     def base_laplace(self, values: np.ndarray) -> np.ndarray:

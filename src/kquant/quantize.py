@@ -151,8 +151,7 @@ def fs(form: HermForm, grid) -> Potential:
     which orthonormal basis a factorization produces.
     """
     vals = (grid.log_density(form) - np.log(form.dimension)) / form.degree
-    invariant = bool(np.allclose(vals, grid.broadcast(grid.radial_part(vals)), atol=1e-13))
-    return Potential(grid, vals, invariant=invariant)
+    return Potential(grid, vals, grid.is_invariant(vals))
 
 
 @dataclass(frozen=True)

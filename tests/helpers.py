@@ -53,6 +53,11 @@ def hermitian_defect(form) -> float:
 # Chart derivatives and the dense 2D section-table route, kept as oracles
 
 
+def rho_of(grid):
+    """rho = |z|^2 = u/(1-u) at the radial nodes."""
+    return grid.u / (1.0 - grid.u)
+
+
 def radial_d_drho(grid, values):
     """d/drho of a radial field: (1-u)^2 d/du."""
     return (1.0 - grid.u) ** 2 * grid.apply_radial(grid.D, values)
@@ -60,7 +65,7 @@ def radial_d_drho(grid, values):
 
 def radial_ddbar(grid, values):
     """Mixed chart derivative d_z d_zbar of a radial field: (rho f')'."""
-    return radial_d_drho(grid, grid.rho * radial_d_drho(grid, values))
+    return radial_d_drho(grid, rho_of(grid) * radial_d_drho(grid, values))
 
 
 def angular_symbol(grid):
@@ -80,7 +85,7 @@ def full2d_d_dtheta(grid, values):
 def full2d_ddbar(grid, values):
     """d_z d_zbar f = (rho f_rho)_rho + f_theta_theta / (4 rho), through the angular FFT."""
     spec = np.fft.fft(values, axis=-1)
-    rho = grid.radial.rho[:, None]
+    rho = rho_of(grid)[:, None]
     radial = full2d_d_drho(grid, rho * full2d_d_drho(grid, spec))
     angular = -(angular_symbol(grid) ** 2) * spec / (4.0 * rho)
     return np.real(np.fft.ifft(radial + angular, axis=-1))
@@ -100,7 +105,7 @@ def fft_base_laplace(grid, values):
 
 def fft_base_inner_grad(grid, f, g):
     """(rho f_rho g_rho + f_theta g_theta / (4 rho))/A_0 by the FFT route."""
-    rho = grid.radial.rho[:, None]
+    rho = rho_of(grid)[:, None]
     fr, gr = full2d_d_drho(grid, f), full2d_d_drho(grid, g)
     ft, gt = full2d_d_dtheta(grid, f), full2d_d_dtheta(grid, g)
     return (rho * fr * gr + ft * gt / (4.0 * rho)) / ((1.0 - grid.u) ** 2)[:, None]

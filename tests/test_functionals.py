@@ -13,6 +13,7 @@ from kquant import (
     circle_group,
     delta_i_sigma,
     delta_l_sigma,
+    extremal_field,
     fk_prime,
     fs,
     hilb,
@@ -28,9 +29,7 @@ from kquant import (
     modified_k_energy,
     moment_energy,
     potential_from_radial_coeffs,
-    projection_pi,
     quadratic_path,
-    reduced_scalar,
     reparam_path,
     rotation_field,
     sections_dim,
@@ -362,29 +361,16 @@ def test_moment_energy_gradient_check(radial, bump):
     assert abs(one_form - fd) / abs(fd) <= 1e-5
 
 
-def test_reduced_scalar_and_projection(radial, flat, bump):
-    G0, Gc = trivial_group(), circle_group(V)
-    md = metric_data(bump)
-    # trivial group: plain normalized curvature
-    assert np.max(np.abs(reduced_scalar(bump, G0, md=md) - (md.scalar - 2.0))) == 0.0
-    # flat potential: both reduced curvatures vanish
-    for grp in (G0, Gc):
-        assert np.max(np.abs(reduced_scalar(flat, grp))) <= 1e-10
-    # projection residual is orthogonal to the range
-    theta = holomorphy_potential(V, bump)
-    f = radial.u**2
-    resid = f - projection_pi(bump, Gc, f, md=md)
-    assert abs(md.integrate(resid * theta)) <= 1e-10 * np.max(np.abs(f))
-    # curvature projects to zero: the class has no obstruction against V
-    assert abs(md.integrate(md.scalar * theta)) <= 1e-12
-
-
 def test_modified_energy_reduces_to_k_energy(radial, bump):
     G0, Gc = trivial_group(), circle_group(V)
+    with pytest.raises(KQuantError):
+        circle_group(rotation_field(0.0))
+    assert extremal_field(G0, radial).is_zero
+    # the Futaki invariant of the round class vanishes, so the extremal
+    # field is zero to roundoff and the modified energy is the K-energy
+    assert abs(extremal_field(Gc, radial).strength) <= 1e-12
     e0 = mabuchi_energy(bump)
     assert abs(modified_k_energy(bump, G0) - e0) <= 1e-10
-    # on this model the circle projection of the curvature vanishes
-    # identically, so the relative energy coincides with the k-energy
     assert abs(modified_k_energy(bump, Gc) - e0) <= 1e-9 * max(abs(e0), 1.0)
 
 
@@ -424,7 +410,8 @@ def test_energy_fields_share_one_metric_data_per_node(monkeypatch, bump, energy)
     import kquant.geometry
 
     # reference: the same rule, with the holomorphy potential building its
-    # own metric data at every node
+    # own metric data at every node, and the curvature projected onto it at
+    # every node rather than through the extremal field
     def reduced(p, md):
         theta = holomorphy_potential(V, p)
         return (md.scalar - 2.0) - (md.integrate(md.scalar * theta) / md.integrate(theta * theta)) * theta
@@ -445,7 +432,8 @@ def test_energy_fields_share_one_metric_data_per_node(monkeypatch, bump, energy)
     monkeypatch.setattr(kquant.functionals, "metric_data", spy)
     monkeypatch.setattr(kquant.geometry, "metric_data", spy)
     got = moment_energy(bump, V) if energy == "moment" else modified_k_energy(bump, circle_group(V))
-    assert len(calls) == 1
+    # the block, plus the zero potential that fixes the extremal field
+    assert len(calls) == (1 if energy == "moment" else 2)
     assert abs(got - want) <= 1e-13 * abs(want)
 
 

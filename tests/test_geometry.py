@@ -13,8 +13,10 @@ from kquant import (
     identity_lift,
     load_potential,
     metric_data,
+    moment_energy,
     potential_from_radial_coeffs,
     potential_from_values,
+    quadratic_path,
     rotation_field,
     sections_dim,
     sigma_balanced_iterate,
@@ -24,7 +26,7 @@ from kquant import (
 from kquant.geometry import TWIST_RATE_DEFAULT, _profile_fields
 from kquant.grids import interp_matrix
 
-from helpers import map_points, radial_d_drho, section_matrix
+from helpers import map_points, radial_d_drho, rho_of, section_matrix
 
 
 def test_flat_scalar_curvature_exact(flat):
@@ -173,7 +175,7 @@ def test_lift_flow_consistency_fd(radial):
     V = rotation_field(1.0)
     k = 6
     h = 1e-6
-    z = radial.rho[100] ** 0.5
+    z = rho_of(radial)[100] ** 0.5
     plus = map_points(flow_lift(V, k, h), z)
     minus = map_points(flow_lift(V, k, -h), z)
     gen = (plus - minus) / (2.0 * h)
@@ -194,7 +196,7 @@ def test_pullback_potential_matches_base_closed_form(radial, flat):
     lam = 1.17
     lift = AutomorphismLift(scale=lam, degree=4)
     vals = lift.pullback_potential(flat).values
-    exact = np.log((1.0 + lam**2 * radial.rho) / (1.0 + radial.rho))
+    exact = np.log((1.0 + lam**2 * rho_of(radial)) / (1.0 + rho_of(radial)))
     assert np.max(np.abs(vals - exact)) <= 1e-10
 
 
@@ -339,6 +341,34 @@ def test_radial_mode_values_depend_on_radius_only(grid2d):
     pot = potential_from_radial_coeffs(grid2d, [0.04, -0.01])
     assert pot.invariant
     assert np.max(np.abs(pot.values - pot.values[:, :1])) == 0.0
+
+
+def first_harmonic(grid2d):
+    """x1 = 2 sqrt(u(1-u)) cos theta, a non-invariant field."""
+    return 2.0 * np.sqrt(grid2d.u * (1.0 - grid2d.u))[:, None] * np.cos(grid2d.theta)[None, :]
+
+
+@pytest.mark.parametrize("route", ["with_values", "quadratic-path", "small-wave", "file"])
+def test_non_invariant_values_are_not_flagged_invariant(tmp_path, grid2d, route):
+    base = potential_from_radial_coeffs(grid2d, [0.05, -0.07])
+    wave = 0.02 * first_harmonic(grid2d)
+    if route == "with_values":
+        pot = base.with_values(base.values + wave)
+    elif route == "quadratic-path":
+        pot = quadratic_path(base, wave, np.zeros(grid2d.shape)).phi(0.5)
+    elif route == "small-wave":
+        pot = potential_from_values(grid2d, base.values + 1e-9 * first_harmonic(grid2d))
+    else:
+        path = tmp_path / "wave.txt"
+        samples = " ".join(f"{v:.17g}" for v in (base.values + wave).ravel())
+        path.write_text(f"mode: full2d\nresolution: {grid2d.resolution}\nn_theta: {grid2d.n_theta}\nvalues: {samples}\n")
+        pot = load_potential(path, grid2d)
+    assert not pot.invariant
+    with pytest.raises(KQuantError):
+        moment_energy(pot, rotation_field(1.0))
+    # invariant values stay flagged, and an explicit flag is honoured
+    assert base.with_values(base.values + 0.01 * base.values**2).invariant
+    assert not potential_from_values(grid2d, base.values, invariant=False).invariant
 
 
 def test_laplacian_eigenfunction_radial(radial, flat):

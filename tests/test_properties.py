@@ -1,11 +1,15 @@
 """Property tests over random admissible u-polynomial profiles.
 
 Gauss-Bonnet on both grids, the projection identity of fs o hilb, the scale
-invariance of Z with the matching shift of i_k, and the group law of the
-automorphism lifts.
+invariance of Z with the matching shift of i_k, the group law of the
+automorphism lifts, the two Futaki-Mabuchi facts behind the extremal field
+(the Futaki invariant vanishes and the L^2 norm of theta_V does not depend on
+the invariant potential), and the K-energy against its closed form in moment
+coordinates.
 """
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -18,20 +22,28 @@ from kquant import (
     build_grid,
     fs,
     hilb,
+    holomorphy_potential,
     i_k,
     identity_lift,
+    mabuchi_energy,
     metric_data,
     potential_from_radial_coeffs,
     potential_from_values,
     rotation_field,
     sigma_lift,
     z_sigma_k,
+    zero_potential,
 )
 
 GRIDS = {"radial": build_grid("radial", 128), "full2d": build_grid("full2d", 48, 32)}
+# The Futaki and closed-form K integrands are rational in u, not polynomial:
+# 48 radial nodes leave quadrature errors near 1e-9 at the corners of the
+# coefficient box, so those two properties take 128 radial nodes on both grids.
+FINE = {"radial": GRIDS["radial"], "full2d": build_grid("full2d", 128, 16)}
 
 coefficients = st.lists(st.floats(-0.06, 0.06), min_size=1, max_size=5)
 grid_modes = st.sampled_from(sorted(GRIDS))
+V = rotation_field(1.0)
 
 
 def admissible(grid, coeffs):
@@ -99,3 +111,50 @@ def test_lift_group_law_property(mode, coeffs, a, b, amp):
     assert np.max(np.abs(ab.pullback_potential(pot).values - one_by_one.values)) <= 1e-13
     back = la.compose(la.inverse()).pullback_potential(pot)
     assert np.max(np.abs(back.values - pot.values)) <= 1e-13
+
+
+def theta_norm_sq(pot):
+    md = metric_data(pot)
+    theta = holomorphy_potential(V, pot, md)
+    return md, theta, md.integrate(theta * theta)
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid_modes, coefficients)
+def test_futaki_invariant_vanishes_property(mode, coeffs):
+    # the round class admits no obstruction against V: int S theta_V d mu_phi = 0
+    md, theta, _ = theta_norm_sq(admissible(FINE[mode], coeffs))
+    assert abs(md.integrate(md.scalar * theta)) <= 1e-13
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid_modes, coefficients)
+def test_theta_norm_is_potential_independent_property(mode, coeffs):
+    # Futaki-Mabuchi: int theta_V^2 d mu_phi is the same for every invariant phi,
+    # from the exact profile and from its samples
+    grid = GRIDS[mode]
+    pot = admissible(grid, coeffs)
+    at_zero = theta_norm_sq(zero_potential(grid))[2]
+    for p in (pot, pot.with_values(pot.values.copy())):
+        assert abs(theta_norm_sq(p)[2] - at_zero) <= 1e-12 * at_zero
+
+
+def closed_form_k_energy(grid, coeffs) -> float:
+    """K = int_0^1 (q - 1 - log q) dx in the moment coordinate x = u + g1, with
+    q = x(1-x)/(density u(1-u)), g1 = u(1-u) phi_u and dx = density du."""
+    u, w = grid.radial.u, grid.radial.weights
+    dphi = P.polyder(np.concatenate([[0.0], coeffs]))
+    g1 = P.polymul(dphi, [0.0, 1.0, -1.0])
+    x = u + P.polyval(u, g1)
+    density = 1.0 + P.polyval(u, P.polyder(g1))
+    q = x * (1.0 - x) / (density * u * (1.0 - u))
+    return float(np.sum(w * density * (q - 1.0 - np.log(q))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid_modes, coefficients)
+def test_k_energy_matches_closed_form_property(mode, coeffs):
+    # the absolute floor is the roundoff of q - 1 - log q near q = 1
+    grid = FINE[mode]
+    want = closed_form_k_energy(grid, coeffs)
+    assert abs(mabuchi_energy(admissible(grid, coeffs)) - want) <= 1e-11 * abs(want) + 1e-14

@@ -24,7 +24,7 @@ from kquant import (
     zero_potential,
 )
 
-from helpers import hermitian_defect, radial_ddbar, section_matrix, write_iteration_csv
+from helpers import hermitian_defect, radial_ddbar, rho_of, section_matrix, write_iteration_csv
 
 
 def eigh_contraction(form: HermForm, grid) -> np.ndarray:
@@ -162,7 +162,7 @@ def test_psi_scaling_closed_form(radial, flat):
     s = 0.22
     lift = AutomorphismLift(scale=np.exp(s), degree=6)
     psi = psi_potential(lift, flat)
-    closed = np.log((1.0 + np.exp(2 * s) * radial.rho) / (1.0 + radial.rho)) / (2.0 * np.pi)
+    closed = np.log((1.0 + np.exp(2 * s) * rho_of(radial)) / (1.0 + rho_of(radial))) / (2.0 * np.pi)
     gauge = psi.values - closed
     assert np.max(gauge) - np.min(gauge) <= 1e-12
 

@@ -1,6 +1,7 @@
 """Source guards over src/kquant: only grids knows the kind of grid it holds,
-no function imports from another kquant module, and functionals forms the
-twisted weight and runs the path rule in one place each, as one block."""
+no function imports from another kquant module, functionals forms the
+twisted weight and runs the path rule in one place each, as one block, and
+every definition has a reader in src/ or a stated reason to stay."""
 
 import ast
 from pathlib import Path
@@ -15,6 +16,16 @@ ALLOWED_MODE_COMPARISONS = {("geometry.py", "load_potential")}
 # Moving the iteration into functionals would rename its declared per-layer
 # benchmark metric quantize.sigma_balanced_iterate.*, so the import stays.
 ALLOWED_FUNCTION_IMPORTS = {("quantize.py", "sigma_balanced_iterate", "functionals", "l_sigma_k")}
+# Definitions that no other src/ code reads, each with its reason to stay.
+# Re-exports and __all__ entries are not reads.
+ALLOWED_UNREAD = {
+    "functionals.py:delta_l_sigma": "kept for the planned sigma-balanced solve",
+    "quantize.py:balanced_residual": "kept for the planned sigma-balanced solve",
+    "quantize.py:sigma_balanced_iterate": "kept for the planned sigma-balanced solve; read by kbench",
+    "functionals.py:calabi": "read by kbench",
+    "reporting.py:report_from_json": "public API: reads back the reports that emit_report writes",
+    "geometry.py:AutomorphismLift.compose": "the group law of the lifts",
+}
 
 
 class _Scan(ast.NodeVisitor):
@@ -128,3 +139,49 @@ def test_functionals_forms_weight_and_path_rule_once():
     assert owners(tree, calls_psi) == {"delta_i_sigma", "fk_prime"}
     assert owners(tree, loops_over_nodes) == set()
     assert owners(tree, reads_nodes) == {"_path_integral"}
+
+
+def unread_definitions(sources: dict[str, str]) -> set[str]:
+    """Top-level functions and classes, and public methods, that no code
+    outside their own body loads by name or reads as an attribute.
+
+    Names are matched as names, so a method counts as read when any
+    attribute of that name is read, and a definition when a local of that
+    name is loaded.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    found = set()
+    for fname, tree in trees.items():
+        for top in tree.body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(top.name, top)]
+            if isinstance(top, ast.ClassDef):
+                defs += [
+                    (f"{top.name}.{node.name}", node)
+                    for node in top.body
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                ]
+            for qualname, node in defs:
+                short, own = qualname.split(".")[-1], set(map(id, ast.walk(node)))
+                read = any(
+                    id(n) not in own
+                    and ((isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id == short)
+                         or (isinstance(n, ast.Attribute) and n.attr == short))
+                    for other in trees.values()
+                    for n in ast.walk(other)
+                )
+                if not read:
+                    found.add(f"{fname}:{qualname}")
+    return found
+
+
+def test_no_unread_definitions():
+    probe = {
+        "a.py": "def used():\n    return unused_local\n\nclass K:\n    def m(self):\n        return self.m()\n",
+        "b.py": "from .a import used\n__all__ = ['gone']\n\ndef gone():\n    return used()\n",
+    }
+    assert unread_definitions(probe) == {"a.py:K", "a.py:K.m", "b.py:gone"}
+    unread = unread_definitions({path.name: path.read_text() for path in modules()})
+    assert unread - set(ALLOWED_UNREAD) == set(), "definitions with no reader in src/"
+    assert set(ALLOWED_UNREAD) - unread == set(), "allowed entries that now have a reader"
