@@ -12,6 +12,17 @@ The stack couples three layers:
   group, the modified K-energy it defines, and the moment-weighted energy
   that the twisted stack quantizes.
 
+With an exact profile the classical energies are closed forms in the moment
+coordinate x = u + g1, g1 = u(1-u) phi_u, where d mu_phi = dx = density du
+(Donaldson, JDG 2002; Hwang-Singer, Trans. AMS 2002):
+
+    K(phi) = int (q - 1 - log q) dx,        q = x(1-x) / (density u(1-u)),
+    M_V(phi) = -int (G_phi - G_0) theta_V dx,  theta_V = strength (x - 1/2) / (2 pi),
+
+with G_phi = x t - F at t = log(u/(1-u)), F = -log(1-u) + phi, and G_0 =
+x log x + (1-x) log(1-x); the modified K-energy is K + M_X.  The integrand
+of K is >= 0 at every point.  Other potentials take the path integrals.
+
 At the identity twist the weight e^psi is constant and every identity here
 is exact up to quadrature; with a nontrivial twist the differential is
 closed only to second order in the twist displacement (the defect decays
@@ -320,16 +331,32 @@ def _energy_primitive(pot: Potential, density_of: Callable[[Potential, MetricDat
     return _path_integral(linear_path(pot), one_form)
 
 
+def _primitive(pot: Potential, density_of: Callable, integrand: Callable) -> float:
+    """Primitive of ``density_of``: int integrand(x, q, G_phi - G_0) dx for an exact profile."""
+    if pot._exact_fields is None:
+        return _energy_primitive(pot, density_of)
+    metric_data(pot)  # the density is affine along the segment: positive at its end, positive on it
+    rg, u, (g1, density) = pot.grid.radial, pot.grid.u, pot._exact_fields
+    x = u + g1
+    q = x * (1.0 - x) / (density * u * (1.0 - u))
+    # G_phi - G_0 = x log(u/x) + (1-x) log((1-u)/(1-x)) - phi, with x/u = 1 + g1/u
+    dG = -x * np.log1p(g1 / u) - (1.0 - x) * np.log1p(-g1 / (1.0 - u)) - pot.grid.radial_part(pot.values)
+    return float(rg.integrate(integrand(x, q, dG), rg.weights * density))
+
+
 def mabuchi_energy(pot: Potential) -> float:
     """K-energy: primitive of eta -> -int eta (S - 2) d mu_phi, zero at 0."""
-    return _energy_primitive(pot, lambda p, md: -(md.scalar - SBAR))
+    return _primitive(pot, lambda p, md: -(md.scalar - SBAR), lambda x, q, dG: q - 1.0 - np.log(q))
 
 
 def moment_energy(pot: Potential, V: VectorFieldSpec) -> float:
     """Primitive of eta -> +int eta theta_V(phi) d mu_phi (moment-weighted energy)."""
     if V.is_zero:
         return 0.0
-    return _energy_primitive(pot, lambda p, md: holomorphy_potential(V, p, md))
+    if not pot.invariant:
+        raise KQuantError("the moment energy needs circle-invariant input")
+    c = V.strength / (2.0 * np.pi)  # theta_V = c (x - 1/2) in the moment coordinate
+    return _primitive(pot, lambda p, md: holomorphy_potential(V, p, md), lambda x, q, dG: -dG * c * (x - 0.5))
 
 
 def extremal_field(group: VectorFieldSpec, grid) -> VectorFieldSpec:
@@ -348,15 +375,12 @@ def extremal_field(group: VectorFieldSpec, grid) -> VectorFieldSpec:
 
 
 def modified_k_energy(pot: Potential, group: VectorFieldSpec) -> float:
-    """Modified K-energy: primitive of eta -> -int eta (S - 2 - theta_X) d mu_phi.
+    """Modified K-energy K + M_X, primitive of eta -> -int eta (S - 2 - theta_X) d mu_phi.
 
-    X is the extremal field of the group; with X = 0 this is the K-energy,
-    else ``holomorphy_potential`` checks that the potentials are invariant.
+    X is the extremal field of the group.  M_X comes first, so non-invariant
+    input fails before any work.
     """
-    X = extremal_field(group, pot.grid)
-    if X.is_zero:
-        return mabuchi_energy(pot)
-    return _energy_primitive(pot, lambda p, md: holomorphy_potential(X, p, md) - (md.scalar - SBAR))
+    return moment_energy(pot, extremal_field(group, pot.grid)) + mabuchi_energy(pot)
 
 
 # ---------------------------------------------------------------------------

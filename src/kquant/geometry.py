@@ -115,9 +115,18 @@ class Potential:
         return self.shifted(-self.grid.integrate(self.values))
 
     @cached_property
-    def _exact_fields(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """g1, density and curvature on the radial nodes from the exact profile, or None."""
-        return None if self.profile is None else _profile_fields(self.grid.u, self.profile)
+    def _exact_fields(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """g1 and density on the radial nodes from the exact profile, or None."""
+        if self.profile is None:
+            return None
+        return tuple(P.polyval(self.grid.u, c) for c in _profile_polys(self.profile)[:2])
+
+    @cached_property
+    def _exact_scalar(self) -> np.ndarray:
+        """The curvature on the radial nodes from the exact profile, evaluated on first read."""
+        ddens, Wv, dWv = (P.polyval(self.grid.u, c) for c in _profile_polys(self.profile)[2:])
+        dens = self._exact_fields[1]
+        return (2.0 * dens**2 - dWv * dens + Wv * ddens) / dens**3
 
 
 def zero_potential(grid) -> Potential:
@@ -185,13 +194,14 @@ def load_potential(path, grid=None) -> Potential:
 # Metric data
 
 
-def _profile_fields(u: np.ndarray, profile: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact g1, density and scalar curvature of a u-polynomial potential.
+def _profile_polys(profile: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Coefficients of g1, density, density', W and W' of a u-polynomial potential.
 
     With g1 = u(1-u) phi_u (so that rho F' = u + g1) the density is 1 + g1'
     and the curvature is (2 dens^2 - W' dens + W dens') / dens^3 for
     W = u(1-u) dens', all exact polynomial arithmetic.  Coefficients of a
-    block give fields of shape batch + (n_u,).
+    block give fields of shape batch + (n_u,); each field is one Horner pass,
+    so a block holds one set of intermediates at a time.
     """
 
     def der(c):  # numpy's polyder along the first axis, without its per-call overhead
@@ -210,10 +220,7 @@ def _profile_fields(u: np.ndarray, profile: np.ndarray) -> tuple[np.ndarray, np.
     dens_c[0] += 1.0
     ddens_c = der(dens_c)
     W = times_uu(ddens_c)
-    # One Horner pass each, so a block holds one set of intermediates at a time.
-    g1v, dens, ddens, Wv, dWv = (P.polyval(u, c) for c in (g1, dens_c, ddens_c, W, der(W)))
-    scalar = (2.0 * dens**2 - dWv * dens + Wv * ddens) / dens**3
-    return g1v, dens, scalar
+    return g1, dens_c, ddens_c, W, der(W)
 
 
 @dataclass(frozen=True)
@@ -242,9 +249,8 @@ class MetricData:
         Otherwise log A = log A0 + log(density), and the base part has the
         closed-form mixed derivative -2 A0, so S(0) == 2 exactly.
         """
-        exact = self.potential._exact_fields
-        if exact is not None:
-            return self.grid.broadcast(exact[2])
+        if self.potential.profile is not None:
+            return self.grid.broadcast(self.potential._exact_scalar)
         return (2.0 + self.grid.base_laplace(np.log(self.density))) / self.density
 
     def laplace(self, values: np.ndarray) -> np.ndarray:

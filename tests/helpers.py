@@ -4,8 +4,8 @@ from pathlib import Path
 
 import numpy as np
 
-from kquant import delta_i_sigma, fs, identity_lift
-from kquant.functionals import S_NODES, S_WEIGHTS
+from kquant import SBAR, circle_group, delta_i_sigma, extremal_field, fs, holomorphy_potential, identity_lift
+from kquant.functionals import S_NODES, S_WEIGHTS, _energy_primitive
 
 
 def path_integral_by_node(path, one_form) -> float:
@@ -14,6 +14,18 @@ def path_integral_by_node(path, one_form) -> float:
     for s, w in zip(S_NODES, S_WEIGHTS):
         total += w * one_form(path.phi(s), path.dphi(s))
     return float(total)
+
+
+def path_energies(pot, V) -> dict[str, float]:
+    """The K-energy, the moment energy of V and the modified K-energy of V's
+    circle by the path rule along the straight segment, even where the
+    potential carries an exact profile: the oracle for the closed forms."""
+    K = _energy_primitive(pot, lambda p, md: -(md.scalar - SBAR))
+
+    def moment(W):
+        return _energy_primitive(pot, lambda p, md: holomorphy_potential(W, p, md))
+
+    return {"mabuchi": K, "moment": moment(V), "relative": moment(extremal_field(circle_group(V), pot.grid)) + K}
 
 
 def z_first_variation(geo, grid, s: float, lift=None) -> float:

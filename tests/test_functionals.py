@@ -9,6 +9,7 @@ from kquant import (
     bergman,
     bergman_path,
     bk_geodesic,
+    build_grid,
     calabi,
     circle_group,
     delta_i_sigma,
@@ -44,7 +45,7 @@ from kquant import (
 )
 from kquant.functionals import S_NODES
 
-from helpers import geodesic_distance, path_integral_by_node, z_first_variation
+from helpers import geodesic_distance, path_energies, path_integral_by_node, z_first_variation
 
 V = rotation_field(1.0)
 
@@ -214,7 +215,8 @@ def test_profiles_drop_only_a_constant(radial, grid2d, mode):
                 pots.append(block)
     for p in pots:
         assert np.max(profile_offsets(p)) <= 1e-14
-    for got, want in zip(shifted._exact_fields, pot._exact_fields):
+    # g1 and density, and the curvature read on demand
+    for got, want in zip(shifted._exact_fields + (shifted._exact_scalar,), pot._exact_fields + (pot._exact_scalar,)):
         assert np.array_equal(got, want)
 
 
@@ -375,12 +377,80 @@ def test_modified_energy_reduces_to_k_energy(radial, bump):
 
 
 def test_modified_energy_rejects_non_invariant(grid2d):
-    from kquant import potential_from_values
+    from kquant import Potential, potential_from_values
 
     x1 = 2.0 * np.sqrt(grid2d.u * (1.0 - grid2d.u))[:, None] * np.cos(grid2d.theta)[None, :]
     pot = potential_from_values(grid2d, 0.02 * x1, invariant=False)
-    with pytest.raises(KQuantError):
-        modified_k_energy(pot, circle_group(V))
+    # the same wave over a profile, which would otherwise take the closed form
+    prof = potential_from_radial_coeffs(grid2d, [0.05, -0.07])
+    waved = Potential(grid2d, prof.values + 0.02 * x1, False, prof.profile)
+    for p in (pot, waved):
+        with pytest.raises(KQuantError):
+            modified_k_energy(p, circle_group(V))
+        with pytest.raises(KQuantError):
+            moment_energy(p, V)
+
+
+def test_closed_form_energies_reject_non_kahler_profiles(radial, grid2d):
+    from kquant import NonKahlerError
+    from kquant.functionals import S_NODES
+
+    for grid in (radial, grid2d):
+        # phi = a u^2 has density 1 - 2a(3u^2 - 2u): negative near u = 1 for a = 1,
+        # and -1e-3 at the outermost node for a = edge
+        u = grid.u[-1]
+        edge = (1.0 + 1e-3) / (2.0 * (3.0 * u * u - 2.0 * u))
+        for a in (1.0, edge):
+            pot = potential_from_radial_coeffs(grid, [0.0, a])
+            dens = pot._exact_fields[1]
+            assert np.min(dens) <= 0.0
+            for energy in (
+                lambda: mabuchi_energy(pot),
+                lambda: moment_energy(pot, V),
+                lambda: modified_k_energy(pot, circle_group(V)),
+                lambda: modified_k_energy(pot, trivial_group()),
+            ):
+                with pytest.raises(NonKahlerError):
+                    energy()
+        # at the edge every node of the path rule (s <= 0.9986) still has a
+        # positive density: the closed form checks the segment's end
+        assert np.min(1.0 + S_NODES[-1] * (dens - 1.0)) > 0.0
+
+
+def test_modified_energy_of_the_trivial_group_is_the_k_energy(radial, grid2d):
+    for grid in (radial, grid2d):
+        pot = potential_from_radial_coeffs(grid, [0.05, -0.07, 0.02])
+        for p in (pot, pot.with_values(pot.values.copy())):
+            assert modified_k_energy(p, trivial_group()) == mabuchi_energy(p)
+
+
+def test_closed_form_k_energy_resolves_on_48_radial_nodes():
+    # 0.06 (u + ... + u^5) against the path rule on radial 512: on full2d 48x32
+    # the closed form is 7.3e-13 off, where the path rule on 48x32 is 7.5e-10 off
+    coeffs = [0.06] * 5
+    want = path_energies(potential_from_radial_coeffs(build_grid("radial", 512), coeffs), V)["mabuchi"]
+    got = mabuchi_energy(potential_from_radial_coeffs(build_grid("full2d", 48, 32), coeffs))
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_closed_form_k_integrand_is_nonnegative_at_every_node(radial, grid2d):
+    # K = int (q - 1 - log q) dx with q - 1 - log q >= 0 for q > 0: the lower
+    # bound of the K-energy holds node by node on invariant potentials
+    from kquant.functionals import _primitive
+
+    rng = np.random.default_rng(17)
+    for grid in (radial, grid2d):
+        for _ in range(20):
+            pot = potential_from_radial_coeffs(grid, rng.uniform(-0.05, 0.05, 4))
+            seen = []
+
+            def integrand(x, q, dG):
+                seen.append(q - 1.0 - np.log(q))
+                return seen[-1]
+
+            K = _primitive(pot, None, integrand)
+            assert len(seen) == 1 and np.min(seen[0]) >= 0.0
+            assert K == mabuchi_energy(pot) and K > 0.0
 
 
 def test_energy_scaled_family_positive(radial, bump):
@@ -388,27 +458,44 @@ def test_energy_scaled_family_positive(radial, bump):
         assert mabuchi_energy(bump.scaled(t)) >= -1e-10
 
 
-def test_energy_primitive_keeps_exact_profile(monkeypatch, bump):
+def spy_metric_data(monkeypatch):
+    """The potentials passed to metric_data from functionals and geometry, recorded."""
     import kquant.functionals
+    import kquant.geometry
 
-    seen = []
+    calls = []
 
     def spy(pot):
-        seen.append(pot.profile)
+        calls.append(pot)
         return metric_data(pot)
 
     monkeypatch.setattr(kquant.functionals, "metric_data", spy)
+    monkeypatch.setattr(kquant.geometry, "metric_data", spy)
+    return calls
+
+
+def test_energy_primitive_keeps_exact_profile(monkeypatch, bump):
+    from kquant.functionals import _energy_primitive
+
+    calls = spy_metric_data(monkeypatch)
     mabuchi_energy(bump)
-    # one block call covers the 32 nodes, and its profile holds a row per power, a column per node
-    assert len(seen) == 1 and seen[0] is not None
-    assert seen[0].shape == (len(bump.profile),) + S_NODES.shape
+    # the closed form reads the exact profile: one check of the potential itself, no block
+    assert len(calls) == 1 and calls[0] is bump
+    # the path rule, called directly: one block call covers the 32 nodes, and
+    # its profile holds a row per power, a column per node
+    calls.clear()
+    _energy_primitive(bump, lambda p, md: -(md.scalar - 2.0))
+    assert len(calls) == 1 and calls[0].profile is not None
+    assert calls[0].profile.shape == (len(bump.profile),) + S_NODES.shape
+    # a sampled potential takes the path rule: one block call with 32 nodes
+    calls.clear()
+    mabuchi_energy(bump.with_values(bump.values.copy()))
+    assert len(calls) == 1 and calls[0].profile is None
+    assert calls[0].values.shape == S_NODES.shape + bump.grid.shape
 
 
 @pytest.mark.parametrize("energy", ["moment", "relative"])
 def test_energy_fields_share_one_metric_data_per_node(monkeypatch, bump, energy):
-    import kquant.functionals
-    import kquant.geometry
-
     # reference: the same rule, with the holomorphy potential building its
     # own metric data at every node, and the curvature projected onto it at
     # every node rather than through the extremal field
@@ -423,17 +510,11 @@ def test_energy_fields_share_one_metric_data_per_node(monkeypatch, bump, energy)
 
     want = path_integral_by_node(linear_path(bump), one_form)
 
-    calls = []
-
-    def spy(pot):
-        calls.append(pot)
-        return metric_data(pot)
-
-    monkeypatch.setattr(kquant.functionals, "metric_data", spy)
-    monkeypatch.setattr(kquant.geometry, "metric_data", spy)
+    calls = spy_metric_data(monkeypatch)
     got = moment_energy(bump, V) if energy == "moment" else modified_k_energy(bump, circle_group(V))
-    # the block, plus the zero potential that fixes the extremal field
-    assert len(calls) == (1 if energy == "moment" else 2)
+    # the closed forms check the potential once per energy, never a block; the
+    # modified energy first reads the zero potential that fixes the extremal field
+    assert [p is bump for p in calls] == ([True] if energy == "moment" else [False, True, True])
     assert abs(got - want) <= 1e-13 * abs(want)
 
 

@@ -23,7 +23,7 @@ from kquant import (
     sigma_lift,
     zero_potential,
 )
-from kquant.geometry import TWIST_RATE_DEFAULT, _profile_fields
+from kquant.geometry import TWIST_RATE_DEFAULT
 from kquant.grids import interp_matrix
 
 from helpers import map_points, radial_d_drho, rho_of, section_matrix
@@ -84,13 +84,16 @@ def polynomial_profile_fields(u, profile):
 
 @pytest.mark.parametrize("n", [16, 512])
 def test_profile_fields_match_numpy_polynomial(n):
-    u = build_grid("radial", n).u
+    grid = build_grid("radial", n)
     rng = np.random.default_rng(n)
     profiles = [np.zeros(0), np.zeros(1), np.array([0.05, 0.0]), np.array([0.0, 0.0, 0.2])]
     profiles += [rng.uniform(-0.1, 0.1, m) for m in range(1, 7) for _ in range(5)]
     for profile in profiles:
-        for got, want in zip(_profile_fields(u, profile), polynomial_profile_fields(u, profile)):
-            assert np.array_equal(got, want)
+        pot = potential_from_radial_coeffs(grid, profile)
+        # g1 and density, and the curvature read on demand
+        got = pot._exact_fields + (pot._exact_scalar,)
+        for got_field, want in zip(got, polynomial_profile_fields(grid.u, profile), strict=True):
+            assert np.array_equal(got_field, want)
 
 
 def test_laplacian_self_adjoint_and_mean_zero(radial, bump):

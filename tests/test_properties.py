@@ -4,8 +4,9 @@ Gauss-Bonnet on both grids, the projection identity of fs o hilb, the scale
 invariance of Z with the matching shift of i_k, the group law of the
 automorphism lifts, the two Futaki-Mabuchi facts behind the extremal field
 (the Futaki invariant vanishes and the L^2 norm of theta_V does not depend on
-the invariant potential), and the K-energy against its closed form in moment
-coordinates.
+the invariant potential), the K-energy against an independent closed form in
+moment coordinates, and the closed-form classical energies against the path
+rule they replace.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from kquant import (
     NonKahlerError,
     bergman,
     build_grid,
+    circle_group,
     fs,
     hilb,
     holomorphy_potential,
@@ -27,6 +29,8 @@ from kquant import (
     identity_lift,
     mabuchi_energy,
     metric_data,
+    modified_k_energy,
+    moment_energy,
     potential_from_radial_coeffs,
     potential_from_values,
     rotation_field,
@@ -34,6 +38,8 @@ from kquant import (
     z_sigma_k,
     zero_potential,
 )
+
+from helpers import path_energies
 
 GRIDS = {"radial": build_grid("radial", 128), "full2d": build_grid("full2d", 48, 32)}
 # The Futaki and closed-form K integrands are rational in u, not polynomial:
@@ -158,3 +164,30 @@ def test_k_energy_matches_closed_form_property(mode, coeffs):
     grid = FINE[mode]
     want = closed_form_k_energy(grid, coeffs)
     assert abs(mabuchi_energy(admissible(grid, coeffs)) - want) <= 1e-11 * abs(want) + 1e-14
+
+
+ENERGY_GRIDS = {
+    "radial 128": GRIDS["radial"],
+    "radial 512": build_grid("radial", 512),
+    "full2d 48x32": GRIDS["full2d"],
+    "full2d 96x64": build_grid("full2d", 96, 64),
+}
+# The path rule takes the curvature integrand to 1e-11 only from 64 radial
+# nodes on: at 48 it errs by up to 7.5e-10 relative at the corners of the
+# coefficient box, where the closed form on 48 nodes still holds 3e-13.  So
+# the oracle for 48x32 runs on 64x32.
+ORACLE_GRIDS = {**ENERGY_GRIDS, "full2d 48x32": build_grid("full2d", 64, 32)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(ENERGY_GRIDS)), coefficients)
+def test_closed_form_energies_match_the_path_rule_property(name, coeffs):
+    pot = admissible(ENERGY_GRIDS[name], coeffs)
+    want = path_energies(admissible(ORACLE_GRIDS[name], coeffs), V)
+    got = {
+        "mabuchi": mabuchi_energy(pot),
+        "moment": moment_energy(pot, V),
+        "relative": modified_k_energy(pot, circle_group(V)),
+    }
+    for key, value in got.items():
+        assert abs(value - want[key]) <= 1e-11 * abs(want[key]) + 1e-14, key
