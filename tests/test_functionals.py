@@ -363,7 +363,7 @@ def test_moment_energy_gradient_check(radial, bump):
     assert abs(one_form - fd) / abs(fd) <= 1e-5
 
 
-def test_modified_energy_reduces_to_k_energy(radial, bump):
+def test_modified_energy_reduces_to_k_energy(radial, grid2d, bump):
     G0, Gc = trivial_group(), circle_group(V)
     with pytest.raises(KQuantError):
         circle_group(rotation_field(0.0))
@@ -372,8 +372,10 @@ def test_modified_energy_reduces_to_k_energy(radial, bump):
     # field is zero to roundoff and the modified energy is the K-energy
     assert abs(extremal_field(Gc, radial).strength) <= 1e-12
     e0 = mabuchi_energy(bump)
-    assert abs(modified_k_energy(bump, G0) - e0) <= 1e-10
     assert abs(modified_k_energy(bump, Gc) - e0) <= 1e-9 * max(abs(e0), 1.0)
+    # with the zero field it is the K-energy exactly, closed form or path rule, on either grid
+    for p in (bump, bump.with_values(bump.values.copy()), potential_from_radial_coeffs(grid2d, [0.05, -0.07, 0.02])):
+        assert modified_k_energy(p, G0) == mabuchi_energy(p)
 
 
 def test_modified_energy_rejects_non_invariant(grid2d):
@@ -393,7 +395,6 @@ def test_modified_energy_rejects_non_invariant(grid2d):
 
 def test_closed_form_energies_reject_non_kahler_profiles(radial, grid2d):
     from kquant import NonKahlerError
-    from kquant.functionals import S_NODES
 
     for grid in (radial, grid2d):
         # phi = a u^2 has density 1 - 2a(3u^2 - 2u): negative near u = 1 for a = 1,
@@ -415,13 +416,6 @@ def test_closed_form_energies_reject_non_kahler_profiles(radial, grid2d):
         # at the edge every node of the path rule (s <= 0.9986) still has a
         # positive density: the closed form checks the segment's end
         assert np.min(1.0 + S_NODES[-1] * (dens - 1.0)) > 0.0
-
-
-def test_modified_energy_of_the_trivial_group_is_the_k_energy(radial, grid2d):
-    for grid in (radial, grid2d):
-        pot = potential_from_radial_coeffs(grid, [0.05, -0.07, 0.02])
-        for p in (pot, pot.with_values(pot.values.copy())):
-            assert modified_k_energy(p, trivial_group()) == mabuchi_energy(p)
 
 
 def test_closed_form_k_energy_resolves_on_48_radial_nodes():
