@@ -12,6 +12,7 @@ experiment passes, and 2 for a bad config or input file.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -53,6 +54,14 @@ def _coerce(fields: dict) -> dict:
     return out
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Raise KQuantError unless the output directory exists or its nearest existing ancestor can hold it."""
+    path = Path(out_dir).absolute()
+    ancestor = next(p for p in (path, *path.parents) if p.exists())
+    if not ancestor.is_dir() or not os.access(ancestor, os.W_OK):
+        raise KQuantError(f"cannot create output directory {out_dir}: {ancestor} is not a writable directory")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="kquant", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -91,13 +100,17 @@ def main(argv=None) -> int:
         fields["formats"] = tuple(t.strip() for t in args.format.split(","))
 
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    all_pass = True
-    for name in names:
+    fields.pop("experiment", None)
+    configs = []
+    for name in names:  # every config is checked before the first run
         try:
-            cfg = ExperimentConfig(experiment=name, **{k: v for k, v in fields.items() if k != "experiment"})
+            configs.append(ExperimentConfig(experiment=name, **fields))
+            _check_out_dir(configs[-1].out_dir)
         except (KQuantError, TypeError) as err:
             print(f"invalid config for {name}: {err}", file=sys.stderr)
             return 2
+    all_pass = True
+    for name, cfg in zip(names, configs):
         try:
             report = run_experiment(cfg)
         except KQuantError as err:  # set-up errors, such as a bad potential file

@@ -12,16 +12,17 @@ The stack couples three layers:
   group, the modified K-energy it defines, and the moment-weighted energy
   that the twisted stack quantizes.
 
-With an exact profile the classical energies are closed forms in the moment
-coordinate x = u + g1, g1 = u(1-u) phi_u, where d mu_phi = dx = density du
-(Donaldson, JDG 2002; Hwang-Singer, Trans. AMS 2002):
+On every invariant potential the classical energies are closed forms in the
+moment coordinate x = u + g1, g1 = u(1-u) phi_u, where d mu_phi = dx =
+density du (Donaldson, JDG 2002; Hwang-Singer, Trans. AMS 2002):
 
     K(phi) = int (q - 1 - log q) dx,        q = x(1-x) / (density u(1-u)),
     M_V(phi) = -int (G_phi - G_0) theta_V dx,  theta_V = strength (x - 1/2) / (2 pi),
 
 with G_phi = x t - F at t = log(u/(1-u)), F = -log(1-u) + phi, and G_0 =
 x log x + (1-x) log(1-x); the modified K-energy is K + M_X.  The integrand
-of K is >= 0 at every point.  Other potentials take the path integrals.
+of K is >= 0 at every point.  Only off the invariant slice does the K-energy
+take the path integral along the straight segment from 0.
 
 At the identity twist the weight e^psi is constant and every identity here
 is exact up to quadrature; with a nontrivial twist the differential is
@@ -177,9 +178,8 @@ def trivial_group() -> VectorFieldSpec:
     return VectorFieldSpec(strength=0.0)
 
 
-def circle_group(V: VectorFieldSpec | None = None) -> VectorFieldSpec:
-    """The circle generated by a nonzero gradient field (the standard one by default)."""
-    V = V or VectorFieldSpec(strength=1.0)
+def circle_group(V: VectorFieldSpec) -> VectorFieldSpec:
+    """The circle generated by a nonzero gradient field."""
     if V.is_zero:
         raise KQuantError("circle groups need a nonzero generator field")
     return V
@@ -311,42 +311,36 @@ def delta_l_sigma(
 # Classical functionals
 
 
-def calabi(pot: Potential, md: MetricData | None = None) -> float:
+def calabi(pot: Potential) -> float:
     """int (S(phi) - 2)^2 d mu_phi; zero exactly at constant curvature."""
-    md = metric_data(pot) if md is None else md
+    md = metric_data(pot)
     return float(md.integrate((md.scalar - SBAR) ** 2))
 
 
-def _energy_primitive(pot: Potential, density_of: Callable[[Potential, MetricData], np.ndarray]) -> float:
-    """Primitive at phi of the one-form eta -> int eta g(phi) d mu_phi.
-
-    Evaluated along the straight segment from 0, which every one-form used
-    here integrates exactly (they are closed); its points keep the exact
-    profile of phi when it has one.
-    """
-    def one_form(p: Potential, vel: np.ndarray) -> np.ndarray:
-        md = metric_data(p)
-        return md.integrate(vel * density_of(p, md))
-
-    return _path_integral(linear_path(pot), one_form)
-
-
-def _primitive(pot: Potential, density_of: Callable, integrand: Callable) -> float:
-    """Primitive of ``density_of``: int integrand(x, q, G_phi - G_0) dx for an exact profile."""
-    if pot._exact_fields is None:
-        return _energy_primitive(pot, density_of)
-    metric_data(pot)  # the density is affine along the segment: positive at its end, positive on it
-    rg, u, (g1, density) = pot.grid.radial, pot.grid.u, pot._exact_fields
+def _moment_integral(pot: Potential, integrand: Callable) -> float:
+    """int integrand(x, q, G_phi - G_0) dx over the radial nodes of an invariant potential."""
+    md = metric_data(pot)  # the density is affine along the segment: positive at its end, positive on it
+    grid = pot.grid
+    rg, u, g1 = grid.radial, grid.radial.u, md.g1
+    density = grid.radial_part(md.density)
     x = u + g1
     q = x * (1.0 - x) / (density * u * (1.0 - u))
     # G_phi - G_0 = x log(u/x) + (1-x) log((1-u)/(1-x)) - phi, with x/u = 1 + g1/u
-    dG = -x * np.log1p(g1 / u) - (1.0 - x) * np.log1p(-g1 / (1.0 - u)) - pot.grid.radial_part(pot.values)
+    dG = -x * np.log1p(g1 / u) - (1.0 - x) * np.log1p(-g1 / (1.0 - u)) - grid.radial_part(pot.values)
     return float(rg.integrate(integrand(x, q, dG), rg.weights * density))
 
 
 def mabuchi_energy(pot: Potential) -> float:
-    """K-energy: primitive of eta -> -int eta (S - 2) d mu_phi, zero at 0."""
-    return _primitive(pot, lambda p, md: -(md.scalar - SBAR), lambda x, q, dG: q - 1.0 - np.log(q))
+    """K-energy: primitive of eta -> -int eta (S - 2) d mu_phi, zero at 0; off the
+    invariant slice, the path integral along the straight segment from 0."""
+    if pot.invariant:
+        return _moment_integral(pot, lambda x, q, dG: q - 1.0 - np.log(q))
+
+    def one_form(p: Potential, vel: np.ndarray) -> np.ndarray:
+        md = metric_data(p)
+        return md.integrate(vel * -(md.scalar - SBAR))
+
+    return _path_integral(linear_path(pot), one_form)
 
 
 def moment_energy(pot: Potential, V: VectorFieldSpec) -> float:
@@ -356,7 +350,7 @@ def moment_energy(pot: Potential, V: VectorFieldSpec) -> float:
     if not pot.invariant:
         raise KQuantError("the moment energy needs circle-invariant input")
     c = V.strength / (2.0 * np.pi)  # theta_V = c (x - 1/2) in the moment coordinate
-    return _primitive(pot, lambda p, md: holomorphy_potential(V, p, md), lambda x, q, dG: -dG * c * (x - 0.5))
+    return _moment_integral(pot, lambda x, q, dG: -dG * c * (x - 0.5))
 
 
 def extremal_field(group: VectorFieldSpec, grid) -> VectorFieldSpec:
@@ -437,15 +431,10 @@ def bk_geodesic(H0: HermForm, H1: HermForm) -> GeodesicInB:
     return GeodesicInB(H0=H0, H1=H1, lambdas=lambdas, coeffs=coeffs)
 
 
-def z_second_derivative_fd(
-    geo: GeodesicInB,
-    grid,
-    lift: AutomorphismLift | None = None,
-    s: float = 0.5,
-    h: float = 0.05,
-) -> float:
-    """Central second difference of Z along the geodesic at parameter s."""
+def z_second_derivative_fd(geo: GeodesicInB, grid, lift: AutomorphismLift | None = None) -> float:
+    """Central second difference of Z, step 0.05, at the geodesic's midpoint."""
     lift = identity_lift(geo.degree) if lift is None else lift
+    s, h = 0.5, 0.05
     z = [z_sigma_k(geo.form_at(t), grid, lift) for t in (s - h, s, s + h)]
     return float((z[0] - 2.0 * z[1] + z[2]) / h**2)
 

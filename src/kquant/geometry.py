@@ -80,11 +80,11 @@ class Potential:
     as a path at all its quadrature nodes, is one Potential.  ``invariant``
     marks circle-invariant data (always true in radial mode).  ``profile``
     optionally carries the exact u-polynomial the values were sampled from,
-    up to a constant: the coefficients of u, u^2, ..., one row per power,
-    with the batch shape after it.  Derived metric quantities then use exact
-    polynomial derivatives on the radial nodes of either grid instead of
-    spectral differentiation, which matters for sup-norm tests near the
-    pole u = 1; none of them reads the constant.
+    up to a constant (so only an invariant potential has one): the
+    coefficients of u, u^2, ..., one row per power, with the batch shape
+    after it.  Derived metric quantities then use exact polynomial
+    derivatives on the radial nodes of either grid instead of spectral
+    differentiation, which matters near the pole u = 1; none reads the constant.
     """
 
     grid: RadialGrid | Full2DGrid
@@ -97,6 +97,8 @@ class Potential:
             raise KQuantError(
                 f"potential values shape {self.values.shape} does not match grid {self.grid.shape}"
             )
+        if self.profile is not None and not self.invariant:
+            raise KQuantError("a potential with a u-polynomial profile is circle-invariant")
 
     def with_values(self, values: np.ndarray) -> "Potential":
         """A potential on the same grid, flagged by the invariance of ``values``."""
@@ -113,20 +115,6 @@ class Potential:
     def mean_normalized(self) -> "Potential":
         """Subtract the base-measure mean; fixes additive gauge."""
         return self.shifted(-self.grid.integrate(self.values))
-
-    @cached_property
-    def _exact_fields(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """g1 and density on the radial nodes from the exact profile, or None."""
-        if self.profile is None:
-            return None
-        return tuple(P.polyval(self.grid.u, c) for c in _profile_polys(self.profile)[:2])
-
-    @cached_property
-    def _exact_scalar(self) -> np.ndarray:
-        """The curvature on the radial nodes from the exact profile, evaluated on first read."""
-        ddens, Wv, dWv = (P.polyval(self.grid.u, c) for c in _profile_polys(self.profile)[2:])
-        dens = self._exact_fields[1]
-        return (2.0 * dens**2 - dWv * dens + Wv * ddens) / dens**3
 
 
 def zero_potential(grid) -> Potential:
@@ -194,8 +182,8 @@ def load_potential(path, grid=None) -> Potential:
 # Metric data
 
 
-def _profile_polys(profile: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Coefficients of g1, density, density', W and W' of a u-polynomial potential.
+def _exact_fields(pot: Potential, *which: int) -> list[np.ndarray]:
+    """The fields numbered ``which`` of g1, density, density', W, W' on the radial nodes.
 
     With g1 = u(1-u) phi_u (so that rho F' = u + g1) the density is 1 + g1'
     and the curvature is (2 dens^2 - W' dens + W dens') / dens^3 for
@@ -214,13 +202,14 @@ def _profile_polys(profile: np.ndarray) -> tuple[np.ndarray, ...]:
         out[2:] -= c
         return out
 
-    coeffs = np.concatenate([np.zeros((1,) + profile.shape[1:]), profile])
+    coeffs = np.concatenate([np.zeros((1,) + pot.profile.shape[1:]), pot.profile])
     g1 = times_uu(der(coeffs))
     dens_c = der(g1)
     dens_c[0] += 1.0
     ddens_c = der(dens_c)
     W = times_uu(ddens_c)
-    return g1, dens_c, ddens_c, W, der(W)
+    polys = g1, dens_c, ddens_c, W, der(W)
+    return [P.polyval(pot.grid.u, polys[i]) for i in which]
 
 
 @dataclass(frozen=True)
@@ -228,10 +217,11 @@ class MetricData:
     """Derived metric quantities of an admissible potential (or block of them).
 
     ``density`` is A_phi/A_0, ``volume_weights`` are quadrature weights for
-    d mu_phi, and ``scalar`` the scalar curvature field, computed on first
-    read.  The Laplacian and gradient pairing close over the same density so
-    the integration-by-parts identities hold exactly at the discrete level
-    up to quadrature error.
+    d mu_phi, and ``scalar`` and ``g1`` are computed on first read.  Each
+    field comes from an exact profile if there is one, else spectrally.  The
+    Laplacian and gradient pairing close over the same density so the
+    integration-by-parts identities hold exactly at the discrete level up to
+    quadrature error.
     """
 
     potential: Potential
@@ -250,8 +240,17 @@ class MetricData:
         closed-form mixed derivative -2 A0, so S(0) == 2 exactly.
         """
         if self.potential.profile is not None:
-            return self.grid.broadcast(self.potential._exact_scalar)
+            dens, ddens, Wv, dWv = _exact_fields(self.potential, 1, 2, 3, 4)
+            return self.grid.broadcast((2.0 * dens**2 - dWv * dens + Wv * ddens) / dens**3)
         return (2.0 + self.grid.base_laplace(np.log(self.density))) / self.density
+
+    @cached_property
+    def g1(self) -> np.ndarray:
+        """u(1-u) phi_u on the radial nodes of an invariant potential, whose moment coordinate is u + g1."""
+        if self.potential.profile is not None:
+            return _exact_fields(self.potential, 0)[0]
+        rg = self.grid.radial
+        return rg.u * (1.0 - rg.u) * rg.apply_radial(rg.D, self.grid.radial_part(self.potential.values))
 
     def laplace(self, values: np.ndarray) -> np.ndarray:
         """Delta_phi f = -(d_z d_zbar f) / A_phi = Delta_0 f / density."""
@@ -272,14 +271,10 @@ class MetricData:
 
 
 def metric_data(pot: Potential) -> MetricData:
-    """Assemble MetricData; rejects non-Kahler input (A_phi <= 0 anywhere).
-
-    A potential with a u-polynomial profile gets its density from exact
-    polynomial arithmetic on the radial nodes.
-    """
+    """Assemble MetricData, with the density of the exact profile if there is one;
+    rejects non-Kahler input (A_phi <= 0 anywhere)."""
     grid = pot.grid
-    exact = pot._exact_fields
-    density = 1.0 - grid.base_laplace(pot.values) if exact is None else grid.broadcast(exact[1])
+    density = 1.0 - grid.base_laplace(pot.values) if pot.profile is None else grid.broadcast(_exact_fields(pot, 1)[0])
     if np.min(density) <= 0.0:
         raise NonKahlerError(
             f"potential not Kahler: min density {np.min(density):.3e} <= 0"
@@ -328,10 +323,7 @@ def holomorphy_potential(V: VectorFieldSpec, pot: Potential, md: MetricData | No
     if V.is_zero:
         return np.zeros_like(pot.values)
     rg = grid.radial
-    u = rg.u
-    exact = pot._exact_fields
-    g1 = u * (1.0 - u) * rg.apply_radial(rg.D, grid.radial_part(pot.values)) if exact is None else exact[0]
-    theta = V.strength * (u + g1) / (2.0 * np.pi)
+    theta = V.strength * (rg.u + md.g1) / (2.0 * np.pi)
     mdw = rg.weights * grid.radial_part(md.density)
     return grid.broadcast(theta - rg.integrate(theta, mdw, keepdims=True))
 

@@ -60,10 +60,17 @@ class GridError(KQuantError):
     pass
 
 
+_GAUSS_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
 def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped to [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    """Gauss-Legendre nodes and weights mapped to [0, 1]: one read-only pair per n, shared."""
+    if n not in _GAUSS_RULES:
+        x, w = np.polynomial.legendre.leggauss(n)
+        nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+        nodes.flags.writeable = weights.flags.writeable = False
+        _GAUSS_RULES[n] = nodes, weights
+    return _GAUSS_RULES[n]
 
 
 def barycentric_weights(x: np.ndarray) -> np.ndarray:

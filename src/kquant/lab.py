@@ -150,9 +150,9 @@ class _Ctx:
             return G.identity_lift(k)
         return G.sigma_lift(self.V, k)
 
-    def seeded_potential(self, rng, scale=0.05, n_terms=4):
+    def seeded_potential(self, rng, scale=0.05):
         for _ in range(64):
-            coeffs = rng.uniform(-scale, scale, n_terms)
+            coeffs = rng.uniform(-scale, scale, 4)
             pot = G.potential_from_radial_coeffs(self.grid, list(coeffs))
             try:
                 G.metric_data(pot)
@@ -298,7 +298,7 @@ def _exp_z_convexity(ctx: _Ctx) -> Report:
         for _ in range(20):
             H0, H1 = (Q.HermForm(None, k, log_diag=rng.uniform(-1.0, 1.0, k + 1)) for _ in range(2))
             geo = F.bk_geodesic(H0, H1)
-            vals.append(F.z_second_derivative_fd(geo, ctx.grid, lift, s=0.5))
+            vals.append(F.z_second_derivative_fd(geo, ctx.grid, lift))
         return float(np.min(vals))
 
     mins = _sweep(ctx, min_second_derivative)

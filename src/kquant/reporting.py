@@ -167,9 +167,7 @@ FORMATS = {
 
 
 def emit_report(report: Report, formats, out_dir) -> list[Path]:
-    """Write the report in the requested formats; returns the file paths."""
-    if isinstance(formats, str):
-        formats = [formats]
+    """Write the report in each of the named formats; returns the file paths."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

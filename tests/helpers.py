@@ -4,8 +4,19 @@ from pathlib import Path
 
 import numpy as np
 
-from kquant import SBAR, circle_group, delta_i_sigma, extremal_field, fs, holomorphy_potential, identity_lift
-from kquant.functionals import S_NODES, S_WEIGHTS, _energy_primitive
+import kquant.functionals
+from kquant import (
+    SBAR,
+    circle_group,
+    delta_i_sigma,
+    extremal_field,
+    fs,
+    holomorphy_potential,
+    identity_lift,
+    linear_path,
+    metric_data,
+)
+from kquant.functionals import S_NODES, S_WEIGHTS
 
 
 def path_integral_by_node(path, one_form) -> float:
@@ -16,14 +27,27 @@ def path_integral_by_node(path, one_form) -> float:
     return float(total)
 
 
+def path_primitive(pot, density_of) -> float:
+    """Primitive at phi of the one-form eta -> int eta g(phi) d mu_phi, by the
+    path rule along the straight segment from 0, which integrates the closed
+    one-forms used here exactly.  The rule is looked up on the module at call
+    time, so a test may swap in the node-by-node loop."""
+
+    def one_form(p, vel):
+        md = metric_data(p)
+        return md.integrate(vel * density_of(p, md))
+
+    return kquant.functionals._path_integral(linear_path(pot), one_form)
+
+
 def path_energies(pot, V) -> dict[str, float]:
     """The K-energy, the moment energy of V and the modified K-energy of V's
-    circle by the path rule along the straight segment, even where the
-    potential carries an exact profile: the oracle for the closed forms."""
-    K = _energy_primitive(pot, lambda p, md: -(md.scalar - SBAR))
+    circle of an invariant potential by the path rule: the oracle for the
+    closed forms."""
+    K = path_primitive(pot, lambda p, md: -(md.scalar - SBAR))
 
     def moment(W):
-        return _energy_primitive(pot, lambda p, md: holomorphy_potential(W, p, md))
+        return path_primitive(pot, lambda p, md: holomorphy_potential(W, p, md))
 
     return {"mabuchi": K, "moment": moment(V), "relative": moment(extremal_field(circle_group(V), pot.grid)) + K}
 

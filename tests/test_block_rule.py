@@ -37,12 +37,6 @@ from helpers import laplace_floor, path_energies, path_integral_by_node
 V = rotation_field(1.0)
 K = 8
 REL = 1e-12
-# The curvature of a sampled radial potential comes from two spectral
-# Laplacians, whose roundoff at the pole nodes (near 5e-9 on radial 512) the
-# block's matrix products round differently from the loop's matrix-vector
-# products.  Exact profiles, and the 2D grid's field-by-field Laplacian,
-# keep REL.
-SPECTRAL_REL = 1e-10
 
 
 @pytest.fixture(params=["radial", "grid2d"])
@@ -57,10 +51,16 @@ def wave(grid):
     return 2.0 * np.sqrt(grid.u * (1.0 - grid.u))[:, None] * np.cos(grid.theta)[None, :]
 
 
+def sampled_twin(grid):
+    """The exact-profile potential whose values are the sampled one's radial part."""
+    return potential_from_radial_coeffs(grid, [0.05, -0.07, 0.01])
+
+
 def potentials(grid):
-    """An exact-profile potential and a sampled one with the same radial part."""
+    """An exact-profile potential and a sampled one, invariant on the radial
+    grid and waved on the 2D grid."""
     prof = potential_from_radial_coeffs(grid, [0.05, -0.07])
-    sampled = potential_from_values(grid, prof.values + 0.01 * grid.broadcast(grid.u**3) + 0.02 * wave(grid))
+    sampled = potential_from_values(grid, sampled_twin(grid).values + 0.02 * wave(grid))
     return prof, sampled
 
 
@@ -105,14 +105,17 @@ def test_classical_energies_block_matches_node_loop(monkeypatch, grid, which):
     }
     if not pot.invariant:  # the circle energies need invariant potentials
         energies = {"mabuchi": energies["mabuchi"]}
-    rel = SPECTRAL_REL if pot.profile is None and grid.radial is grid else REL
-    # an exact profile takes the closed forms, so its oracle is the path rule
-    # itself run node by node; a sampled potential takes the path rule
-    oracle = by_node(monkeypatch, lambda: path_energies(pot, V)) if pot.profile is not None else None
+    # an invariant potential takes the closed forms, so its oracle is the
+    # path rule run node by node on the exact profile of its values (the path
+    # rule on samples carries the spectral curvature's 5e-10 here); a
+    # non-invariant one takes the path rule
+    if pot.invariant:
+        exact = pot if pot.profile is not None else sampled_twin(grid)
+        oracle = by_node(monkeypatch, lambda: path_energies(exact, V))
     for name, energy in energies.items():
         got = energy()
-        want = by_node(monkeypatch, energy) if oracle is None else oracle[name]
-        assert abs(got - want) <= rel * abs(want), name
+        want = oracle[name] if pot.invariant else by_node(monkeypatch, energy)
+        assert abs(got - want) <= REL * abs(want), name
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from kquant import (
     HermForm,
     KQuantError,
     NotPositiveDefiniteError,
+    Potential,
     bergman,
     bergman_path,
     bk_geodesic,
@@ -30,6 +31,7 @@ from kquant import (
     modified_k_energy,
     moment_energy,
     potential_from_radial_coeffs,
+    potential_from_values,
     quadratic_path,
     reparam_path,
     rotation_field,
@@ -45,7 +47,7 @@ from kquant import (
 )
 from kquant.functionals import S_NODES
 
-from helpers import geodesic_distance, path_energies, path_integral_by_node, z_first_variation
+from helpers import geodesic_distance, path_energies, path_integral_by_node, path_primitive, z_first_variation
 
 V = rotation_field(1.0)
 
@@ -216,8 +218,9 @@ def test_profiles_drop_only_a_constant(radial, grid2d, mode):
     for p in pots:
         assert np.max(profile_offsets(p)) <= 1e-14
     # g1 and density, and the curvature read on demand
-    for got, want in zip(shifted._exact_fields + (shifted._exact_scalar,), pot._exact_fields + (pot._exact_scalar,)):
-        assert np.array_equal(got, want)
+    got, want = metric_data(shifted), metric_data(pot)
+    for name in ("g1", "density", "scalar"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_path_independence_exact_for_reference_twist(radial, bump):
@@ -379,18 +382,17 @@ def test_modified_energy_reduces_to_k_energy(radial, grid2d, bump):
 
 
 def test_modified_energy_rejects_non_invariant(grid2d):
-    from kquant import Potential, potential_from_values
-
     x1 = 2.0 * np.sqrt(grid2d.u * (1.0 - grid2d.u))[:, None] * np.cos(grid2d.theta)[None, :]
     pot = potential_from_values(grid2d, 0.02 * x1, invariant=False)
-    # the same wave over a profile, which would otherwise take the closed form
+    with pytest.raises(KQuantError):
+        modified_k_energy(pot, circle_group(V))
+    with pytest.raises(KQuantError):
+        moment_energy(pot, V)
+    # the same wave over a profile is refused when built: a profile marks an
+    # invariant potential, so the invariance flag alone picks the energy's route
     prof = potential_from_radial_coeffs(grid2d, [0.05, -0.07])
-    waved = Potential(grid2d, prof.values + 0.02 * x1, False, prof.profile)
-    for p in (pot, waved):
-        with pytest.raises(KQuantError):
-            modified_k_energy(p, circle_group(V))
-        with pytest.raises(KQuantError):
-            moment_energy(p, V)
+    with pytest.raises(KQuantError):
+        Potential(grid2d, prof.values + 0.02 * x1, False, prof.profile)
 
 
 def test_closed_form_energies_reject_non_kahler_profiles(radial, grid2d):
@@ -403,7 +405,7 @@ def test_closed_form_energies_reject_non_kahler_profiles(radial, grid2d):
         edge = (1.0 + 1e-3) / (2.0 * (3.0 * u * u - 2.0 * u))
         for a in (1.0, edge):
             pot = potential_from_radial_coeffs(grid, [0.0, a])
-            dens = pot._exact_fields[1]
+            dens = 1.0 - 2.0 * a * (3.0 * grid.u**2 - 2.0 * grid.u)
             assert np.min(dens) <= 0.0
             for energy in (
                 lambda: mabuchi_energy(pot),
@@ -429,22 +431,41 @@ def test_closed_form_k_energy_resolves_on_48_radial_nodes():
 
 def test_closed_form_k_integrand_is_nonnegative_at_every_node(radial, grid2d):
     # K = int (q - 1 - log q) dx with q - 1 - log q >= 0 for q > 0: the lower
-    # bound of the K-energy holds node by node on invariant potentials
-    from kquant.functionals import _primitive
+    # bound of the K-energy holds node by node on invariant potentials, with
+    # an exact profile or sampled
+    from kquant.functionals import _moment_integral
 
     rng = np.random.default_rng(17)
     for grid in (radial, grid2d):
         for _ in range(20):
-            pot = potential_from_radial_coeffs(grid, rng.uniform(-0.05, 0.05, 4))
-            seen = []
+            prof = potential_from_radial_coeffs(grid, rng.uniform(-0.05, 0.05, 4))
+            for pot in (prof, prof.with_values(prof.values.copy())):
+                seen = []
 
-            def integrand(x, q, dG):
-                seen.append(q - 1.0 - np.log(q))
-                return seen[-1]
+                def integrand(x, q, dG):
+                    seen.append(q - 1.0 - np.log(q))
+                    return seen[-1]
 
-            K = _primitive(pot, None, integrand)
-            assert len(seen) == 1 and np.min(seen[0]) >= 0.0
-            assert K == mabuchi_energy(pot) and K > 0.0
+                K = _moment_integral(pot, integrand)
+                assert len(seen) == 1 and np.min(seen[0]) >= 0.0
+                assert K == mabuchi_energy(pot) and K > 0.0
+
+
+@pytest.mark.parametrize("mode", ["radial", "full2d"])
+def test_sampled_invariant_potentials_take_the_closed_forms(radial, grid2d, mode):
+    # the samples of a profile carry no profile, so g1 and the density come
+    # from spectral differentiation; the closed forms on them match the
+    # profile's to 1e-12 (4e-13 at worst), where the path rule's spectral
+    # curvature misses K by up to 4.6e-8 on radial 512 and 6.3e-11 on full2d
+    grid = radial if mode == "radial" else grid2d
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        prof = potential_from_radial_coeffs(grid, rng.uniform(-0.05, 0.05, 4))
+        sampled = potential_from_values(grid, prof.values)
+        assert sampled.profile is None and sampled.invariant
+        for energy in (mabuchi_energy, lambda p: moment_energy(p, V)):
+            want = energy(prof)
+            assert abs(energy(sampled) - want) <= 1e-12 * abs(want)
 
 
 def test_energy_scaled_family_positive(radial, bump):
@@ -453,7 +474,8 @@ def test_energy_scaled_family_positive(radial, bump):
 
 
 def spy_metric_data(monkeypatch):
-    """The potentials passed to metric_data from functionals and geometry, recorded."""
+    """The potentials passed to metric_data from functionals, geometry and the path oracle, recorded."""
+    import helpers
     import kquant.functionals
     import kquant.geometry
 
@@ -463,29 +485,35 @@ def spy_metric_data(monkeypatch):
         calls.append(pot)
         return metric_data(pot)
 
-    monkeypatch.setattr(kquant.functionals, "metric_data", spy)
-    monkeypatch.setattr(kquant.geometry, "metric_data", spy)
+    for module in (kquant.functionals, kquant.geometry, helpers):
+        monkeypatch.setattr(module, "metric_data", spy)
     return calls
 
 
-def test_energy_primitive_keeps_exact_profile(monkeypatch, bump):
-    from kquant.functionals import _energy_primitive
-
+def test_energy_primitive_keeps_exact_profile(monkeypatch, bump, grid2d):
     calls = spy_metric_data(monkeypatch)
     mabuchi_energy(bump)
     # the closed form reads the exact profile: one check of the potential itself, no block
     assert len(calls) == 1 and calls[0] is bump
-    # the path rule, called directly: one block call covers the 32 nodes, and
-    # its profile holds a row per power, a column per node
+    # a sampled invariant potential takes the same closed form
     calls.clear()
-    _energy_primitive(bump, lambda p, md: -(md.scalar - 2.0))
+    sampled = bump.with_values(bump.values.copy())
+    mabuchi_energy(sampled)
+    assert len(calls) == 1 and calls[0] is sampled
+    # the path oracle: one block call covers the 32 nodes, and its profile
+    # holds a row per power, a column per node
+    calls.clear()
+    path_primitive(bump, lambda p, md: -(md.scalar - 2.0))
     assert len(calls) == 1 and calls[0].profile is not None
     assert calls[0].profile.shape == (len(bump.profile),) + S_NODES.shape
-    # a sampled potential takes the path rule: one block call with 32 nodes
+    # off the invariant slice the K-energy takes the path rule: one block call with 32 nodes
     calls.clear()
-    mabuchi_energy(bump.with_values(bump.values.copy()))
+    x1 = 2.0 * np.sqrt(grid2d.u * (1.0 - grid2d.u))[:, None] * np.cos(grid2d.theta)[None, :]
+    waved = potential_from_values(grid2d, 0.02 * x1)
+    assert not waved.invariant
+    mabuchi_energy(waved)
     assert len(calls) == 1 and calls[0].profile is None
-    assert calls[0].values.shape == S_NODES.shape + bump.grid.shape
+    assert calls[0].values.shape == S_NODES.shape + grid2d.shape
 
 
 @pytest.mark.parametrize("energy", ["moment", "relative"])
@@ -535,7 +563,7 @@ def test_z_convexity_fd(radial):
     for k in (6, 12):
         for lift in (identity_lift(k), sigma_lift(V, k)):
             geo = bk_geodesic(diag_form(rng, k), diag_form(rng, k))
-            assert z_second_derivative_fd(geo, radial, lift, s=0.5) >= -1e-8
+            assert z_second_derivative_fd(geo, radial, lift) >= -1e-8
 
 
 def test_hessian_constant_path_zero(radial, bump):

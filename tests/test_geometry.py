@@ -91,7 +91,8 @@ def test_profile_fields_match_numpy_polynomial(n):
     for profile in profiles:
         pot = potential_from_radial_coeffs(grid, profile)
         # g1 and density, and the curvature read on demand
-        got = pot._exact_fields + (pot._exact_scalar,)
+        md = metric_data(pot)
+        got = (md.g1, md.density, md.scalar)
         for got_field, want in zip(got, polynomial_profile_fields(grid.u, profile), strict=True):
             assert np.array_equal(got_field, want)
 

@@ -54,6 +54,17 @@ def test_gauss_legendre_polynomial_exactness():
         assert abs(np.dot(w, u**m) - 1.0 / (m + 1)) < 1e-14
 
 
+def test_gauss_legendre_rule_is_cached_and_read_only():
+    u, w = gauss_legendre_01(24)
+    x, wx = np.polynomial.legendre.leggauss(24)
+    assert np.array_equal(u, 0.5 * (x + 1.0)) and np.array_equal(w, 0.5 * wx)
+    assert gauss_legendre_01(24)[0] is u and build_grid("full2d", 24, 8).u is u
+    with pytest.raises(ValueError):
+        u[0] = 0.5
+    with pytest.raises(ValueError):
+        w *= 2.0
+
+
 def test_diff_matrix_on_polynomials():
     u, _ = gauss_legendre_01(48)
     D = diff_matrix(u)

@@ -340,6 +340,22 @@ def test_cli_unknown_grid_mode_fails_before_running(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_unusable_output_directory_fails_before_running(tmp_path, capsys, monkeypatch):
+    import kquant.cli
+
+    runs = []
+    monkeypatch.setattr(kquant.cli, "run_experiment", lambda cfg: runs.append(cfg))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for experiment in ("minimization", "all"):
+        for out in (blocker / "sub", blocker):
+            rc = cli_main(["run", "--experiment", experiment, "--out", str(out)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "invalid config" in err and "output directory" in err
+    assert runs == [] and blocker.read_text() == "" and list(tmp_path.iterdir()) == [blocker]
+
+
 @pytest.mark.parametrize(
     "text, flags, names",
     [

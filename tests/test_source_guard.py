@@ -1,7 +1,8 @@
 """Source guards over src/kquant: only grids knows the kind of grid it holds,
-no function imports from another kquant module, functionals forms the
-twisted weight and runs the path rule in one place each, as one block, and
-every definition has a reader in src/ or a stated reason to stay."""
+no function imports from another kquant module, no module reads a private
+attribute that another module defines, functionals forms the twisted weight
+and runs the path rule in one place each, as one block, and every definition
+has a reader in src/ or a stated reason to stay."""
 
 import ast
 from pathlib import Path
@@ -117,6 +118,44 @@ def test_no_function_level_kquant_imports(path):
     found = scan(path.read_text())
     stray = [imp for imp in found.function_imports if (path.name, *imp) not in ALLOWED_FUNCTION_IMPORTS]
     assert stray == [], f"{path.name} imports inside functions: {stray}"
+
+
+def private_names(tree: ast.Module) -> set[str]:
+    """The _-prefixed (not dunder) names a module defines: functions, classes,
+    methods, assigned names and attributes it stores."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            found.add(node.attr)
+    return {name for name in found if name.startswith("_") and not name.startswith("__")}
+
+
+def cross_module_private_reads(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """(module, line, attribute) for every read of a private attribute that
+    another module defines and the reading module does not."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    defined = {name: private_names(tree) for name, tree in trees.items()}
+    found = []
+    for name, tree in trees.items():
+        elsewhere = set().union(*(d for other, d in defined.items() if other != name)) - defined[name]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in elsewhere:
+                found.append((name, node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_no_cross_module_private_attribute_reads():
+    probe = {
+        "a.py": "class P:\n    def _own(self):\n        self._kept = 0\n        return self._own() + self._kept\n\n_TABLE = {}\n",
+        "b.py": "def f(p, np):\n    p._kept = 1\n    return p._own(), p._kept, np._core, a._TABLE\n",
+    }
+    assert cross_module_private_reads(probe) == [("b.py", 3, "_TABLE"), ("b.py", 3, "_own")]
+    found = cross_module_private_reads({path.name: path.read_text() for path in modules()})
+    assert found == [], f"private attributes read across modules: {found}"
 
 
 def owners(tree: ast.Module, pred) -> set[str]:
