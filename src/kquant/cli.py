@@ -6,7 +6,8 @@
 
 Config files are flat key = value text; command line flags override file
 keys.  The exit code is 0 exactly when every verdict of every requested
-experiment passes, and 2 for a bad config or input file.
+experiment passes, and 2 for a bad config or input file or a report that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 
 from .geometry import KQuantError
 from .lab import EXPERIMENTS, ExperimentConfig, run_experiment
-from .reporting import emit_report
+from .reporting import emit_report, report_path
 
 
 def _parse_config_file(path: str) -> dict:
@@ -54,12 +55,17 @@ def _coerce(fields: dict) -> dict:
     return out
 
 
-def _check_out_dir(out_dir: str) -> None:
-    """Raise KQuantError unless the output directory exists or its nearest existing ancestor can hold it."""
-    path = Path(out_dir).absolute()
+def _check_outputs(cfg: ExperimentConfig) -> None:
+    """Raise KQuantError unless the output directory exists or its nearest
+    existing ancestor can hold it, and each report file in it can be written."""
+    path = Path(cfg.out_dir).absolute()
     ancestor = next(p for p in (path, *path.parents) if p.exists())
     if not ancestor.is_dir() or not os.access(ancestor, os.W_OK):
-        raise KQuantError(f"cannot create output directory {out_dir}: {ancestor} is not a writable directory")
+        raise KQuantError(f"cannot create output directory {cfg.out_dir}: {ancestor} is not a writable directory")
+    for fmt in cfg.formats:
+        report = report_path(cfg.out_dir, cfg.experiment, fmt)
+        if report.is_dir() or (report.exists() and not os.access(report, os.W_OK)):
+            raise KQuantError(f"cannot write report file {report}")
 
 
 def main(argv=None) -> int:
@@ -105,7 +111,7 @@ def main(argv=None) -> int:
     for name in names:  # every config is checked before the first run
         try:
             configs.append(ExperimentConfig(experiment=name, **fields))
-            _check_out_dir(configs[-1].out_dir)
+            _check_outputs(configs[-1])
         except (KQuantError, TypeError) as err:
             print(f"invalid config for {name}: {err}", file=sys.stderr)
             return 2
@@ -116,12 +122,16 @@ def main(argv=None) -> int:
         except KQuantError as err:  # set-up errors, such as a bad potential file
             print(f"invalid input for {name}: {err}", file=sys.stderr)
             return 2
-        paths = emit_report(report, list(cfg.formats), cfg.out_dir)
         status = "PASS" if report.passed else "FAIL"
         print(f"{status} {name}")
         for v in report.verdicts:
             rel = v.comparison
             print(f"    {v.criterion}: {v.value:.6g} {rel} {v.threshold:.6g} -> {'ok' if v.passed else 'FAIL'}")
+        try:
+            paths = emit_report(report, list(cfg.formats), cfg.out_dir)
+        except RuntimeError as err:  # the output changed after the pre-run check
+            print(f"cannot write the report of {name}: {err}", file=sys.stderr)
+            return 2
         for p in paths:
             print(f"    wrote {p}")
         all_pass = all_pass and report.passed

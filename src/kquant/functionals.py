@@ -24,11 +24,13 @@ x log x + (1-x) log(1-x); the modified K-energy is K + M_X.  The integrand
 of K is >= 0 at every point.  Only off the invariant slice does the K-energy
 take the path integral along the straight segment from 0.
 
-At the identity twist the weight e^psi is constant and every identity here
-is exact up to quadrature; with a nontrivial twist the differential is
-closed only to second order in the twist displacement (the defect decays
-like k^{-2} and is measured by the experiment harness rather than assumed
-away).
+delta I, delta L and the slope F_k' pair a field with k + Delta_phi, always on
+the base measure: int f (k + Delta_phi) g d mu_phi = k int f g d mu_phi +
+int f Delta_0 g d mu_0, as Delta_phi = Delta_0 / density.  At the identity
+twist e^psi is the constant (k+1)/k and every identity here is exact up to
+quadrature; with a nontrivial twist the differential is closed only to
+second order in the twist displacement (the defect decays like k^{-2} and is
+measured by the experiment harness rather than assumed away).
 """
 
 from __future__ import annotations
@@ -47,8 +49,7 @@ from .geometry import (
     Potential,
     SBAR,
     VectorFieldSpec,
-    holomorphy_potential,
-    identity_lift,
+    lift_at_degree,
     metric_data,
     zero_potential,
 )
@@ -217,21 +218,28 @@ def delta_i_sigma(
         k * int direction (k + Delta_phi)(e^{psi_k(phi)}) d mu_phi.
 
     Linear in the direction; at the identity twist e^psi is the constant
-    (k+1)/k and this reduces to the scaled classical Aubin differential.
-    A block of potentials and directions gives one value per potential.
+    (k+1)/k and this is k(k+1) int direction d mu_phi, the scaled classical
+    Aubin differential.  A block of potentials and directions gives one value
+    per potential.
     """
-    lift = identity_lift(k) if lift is None else lift
+    lift = lift_at_degree(k, lift)
     md = metric_data(pot) if md is None else md
-    epsi = psi_potential(lift, pot, md=md).exp()
     if lift.is_identity:
-        return k * k * md.integrate(direction * epsi)
-    # direction (k + Delta) e^psi, formed in place: a block of 2D fields is
-    # megabytes, so each temporary counts.
-    weight = md.laplace(epsi)
-    epsi *= k
-    weight += epsi
-    weight *= direction
-    return k * md.integrate(weight)
+        return k * (k + 1) * md.integrate(direction)
+    return k * _pairing(md, direction, psi_potential(lift, pot, md=md).exp(), k)
+
+
+def _pairing(md: MetricData, f: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
+    """int f (k + Delta_phi) g d mu_phi = k int f g d mu_phi + int f Delta_0 g d mu_0.
+
+    Delta_phi = Delta_0 / density, so the density cancels from the Laplacian
+    term, which integrates against the base weights.  Each term holds one
+    temporary at a time: a block of 2D fields is megabytes.
+    """
+    mass = k * md.integrate(f * g)
+    weight = md.grid.base_laplace(g)
+    weight *= f
+    return mass + md.grid.integrate(weight)
 
 
 def _path_integral(path: PathInPotentials, one_form: Callable[[Potential, np.ndarray], np.ndarray]) -> float:
@@ -258,7 +266,6 @@ def i_sigma_k(
     second-order closedness defect, reported by the path-independence
     experiment.
     """
-    lift = identity_lift(k) if lift is None else lift
     if path is None:
         if not isinstance(pot_or_paths, Potential):
             raise KQuantError("need a potential or an explicit path")
@@ -270,7 +277,6 @@ def i_sigma_k(
 
 def l_sigma_k(pot: Potential, k: int, lift: AutomorphismLift | None = None) -> float:
     """Quantized twisted energy on potentials: i_k o hilb + twisted Aubin."""
-    lift = identity_lift(k) if lift is None else lift
     return i_k(hilb(pot, k), pot.grid) + i_sigma_k(pot, k, lift)
 
 
@@ -283,10 +289,7 @@ def z_sigma_k(form: HermForm, grid, lift: AutomorphismLift | None = None) -> flo
     comparison test would differ by exactly k log k.  Z is invariant under
     rescaling the form.
     """
-    k = form.degree
-    lift = identity_lift(k) if lift is None else lift
-    pot = fs(form, grid)
-    return i_sigma_k(pot, k, lift) + i_k(form, grid)
+    return i_sigma_k(fs(form, grid), form.degree, lift) + i_k(form, grid)
 
 
 def delta_l_sigma(
@@ -303,8 +306,7 @@ def delta_l_sigma(
     normalized balanced potentials, where rho_k equals k e^psi pointwise.
     """
     md = metric_data(pot) if md is None else md
-    rho = bergman(pot, k, md=md).values
-    return delta_i_sigma(pot, direction, k, lift, md) - float(md.integrate(direction * (k * rho + md.laplace(rho))))
+    return delta_i_sigma(pot, direction, k, lift, md) - float(_pairing(md, direction, bergman(pot, k, md=md).values, k))
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +360,16 @@ def extremal_field(group: VectorFieldSpec, grid) -> VectorFieldSpec:
 
     c = int S theta_V d mu / int theta_V^2 d mu makes theta_X the L^2
     projection of S onto the span of theta_V.  By Futaki-Mabuchi neither
-    integral depends on the invariant potential, so both are read at 0.
+    integral depends on the invariant potential, so both are read at 0 on
+    the radial rule, where S = SBAR, d mu = du and theta_V is the
+    strength (u - mean)/(2 pi).
     """
     if group.is_zero:
         return group
-    md = metric_data(zero_potential(grid))
-    theta = holomorphy_potential(group, md.potential, md)
-    c = md.integrate(md.scalar * theta) / md.integrate(theta * theta)
+    rg = grid.radial
+    theta = group.strength * rg.u / (2.0 * np.pi)
+    theta = theta - rg.integrate(theta, keepdims=True)
+    c = rg.integrate(SBAR * theta) / rg.integrate(theta * theta)
     return VectorFieldSpec(strength=float(c) * group.strength)
 
 
@@ -433,7 +438,6 @@ def bk_geodesic(H0: HermForm, H1: HermForm) -> GeodesicInB:
 
 def z_second_derivative_fd(geo: GeodesicInB, grid, lift: AutomorphismLift | None = None) -> float:
     """Central second difference of Z, step 0.05, at the geodesic's midpoint."""
-    lift = identity_lift(geo.degree) if lift is None else lift
     s, h = 0.5, 0.05
     z = [z_sigma_k(geo.form_at(t), grid, lift) for t in (s - h, s, s + h)]
     return float((z[0] - 2.0 * z[1] + z[2]) / h**2)
@@ -477,16 +481,14 @@ def fk_prime(
     lambda-weighted section density of the geodesic's common eigenbasis, and
     lambda_bound = max_a |lam_a| / k.
     """
-    lift = identity_lift(k) if lift is None else lift
+    lift = lift_at_degree(k, lift)
     H_star = hilb(pot_star, k)
     H = hilb(pot, k)
     geo = bk_geodesic(H_star, H)
     grid = pot.grid
     md = metric_data(pot_star)
     ratio = 0.5 * grid.geodesic_slope(geo, 0.0)  # sum lam |tau|^2 / sum |tau|^2
-    psi = psi_potential(lift, pot_star, md=md)
-    epsi = psi.exp()
-    op = k * epsi + md.laplace(epsi)
-    slope = float(2.0 * np.sum(geo.lambdas) - 2.0 * md.integrate(ratio * op))
+    epsi = psi_potential(lift, pot_star, md=md).exp()
+    slope = float(2.0 * np.sum(geo.lambdas) - 2.0 * _pairing(md, ratio, epsi, k))
     bound = float(np.max(np.abs(geo.lambdas)) / k)
     return slope, bound

@@ -49,6 +49,7 @@ __all__ = [
     "holomorphy_potential",
     "AutomorphismLift",
     "identity_lift",
+    "lift_at_degree",
     "sigma_lift",
     "TWIST_RATE_DEFAULT",
 ]
@@ -219,9 +220,8 @@ class MetricData:
     ``density`` is A_phi/A_0, ``volume_weights`` are quadrature weights for
     d mu_phi, and ``scalar`` and ``g1`` are computed on first read.  Each
     field comes from an exact profile if there is one, else spectrally.  The
-    Laplacian and gradient pairing close over the same density so the
-    integration-by-parts identities hold exactly at the discrete level up to
-    quadrature error.
+    gradient pairing closes over the same density, so the integration-by-parts
+    identities hold exactly at the discrete level up to quadrature error.
     """
 
     potential: Potential
@@ -251,12 +251,6 @@ class MetricData:
             return _exact_fields(self.potential, 0)[0]
         rg = self.grid.radial
         return rg.u * (1.0 - rg.u) * rg.apply_radial(rg.D, self.grid.radial_part(self.potential.values))
-
-    def laplace(self, values: np.ndarray) -> np.ndarray:
-        """Delta_phi f = -(d_z d_zbar f) / A_phi = Delta_0 f / density."""
-        out = self.grid.base_laplace(values)
-        out /= self.density
-        return out
 
     def inner_grad(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """(nabla f, nabla g) with norm |nabla f|^2 = |d_z f|^2 / A_phi."""
@@ -397,6 +391,15 @@ def identity_lift(k: int) -> AutomorphismLift:
     return AutomorphismLift(scale=1.0, degree=k)
 
 
+def lift_at_degree(k: int, lift: AutomorphismLift | None) -> AutomorphismLift:
+    """The lift a degree-k function uses: the identity for None; a lift of another degree is refused."""
+    if lift is None:
+        return identity_lift(k)
+    if lift.degree != k:
+        raise KQuantError(f"a lift of degree {lift.degree} cannot act at degree {k}")
+    return lift
+
+
 def sigma_lift(V: VectorFieldSpec, k: int) -> AutomorphismLift:
     """Degree-k twist automorphism: the time-one flow of -(c0/k) V.
 
@@ -407,7 +410,5 @@ def sigma_lift(V: VectorFieldSpec, k: int) -> AutomorphismLift:
     """
     if k < 1:
         raise KQuantError("degree k must be at least 1")
-    if V.is_zero:
-        return identity_lift(k)
     lam = V.flow_scale(-TWIST_RATE_DEFAULT / k)
     return AutomorphismLift(scale=lam, degree=k)

@@ -27,7 +27,7 @@ from .geometry import (
     MetricData,
     NonKahlerError,
     Potential,
-    identity_lift,
+    lift_at_degree,
     metric_data,
     sections_dim,
 )
@@ -213,7 +213,7 @@ def balanced_residual(
     pot: Potential, k: int, lift: AutomorphismLift | None = None, md: MetricData | None = None
 ) -> float:
     """Sup-norm of rho_k(phi) - k e^{psi_k(phi)}; zero at normalized balance."""
-    lift = identity_lift(k) if lift is None else lift
+    lift = lift_at_degree(k, lift)
     md = metric_data(pot) if md is None else md
     rho = bergman(pot, k, md=md)
     psi = psi_potential(lift, pot, md=md)
@@ -249,7 +249,7 @@ def sigma_balanced_iterate(
     within ``max_iter`` is reported through the log, never raised; loss of
     positivity aborts with diagnostics.
     """
-    lift = identity_lift(k) if lift is None else lift
+    lift = lift_at_degree(k, lift)
     inv = lift.inverse()
     log = IterationLog(converged=False, iterations=0)
     current = pot.mean_normalized()

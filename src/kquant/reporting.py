@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .grids import KQuantError
 
-__all__ = ["FitResult", "Series", "Verdict", "Report", "emit_report", "report_from_json"]
+__all__ = ["FitResult", "Series", "Verdict", "Report", "report_path", "emit_report", "report_from_json"]
 
 CSV_HEADER = ["experiment", "k", "value", "fit_coeff", "fit_exp", "verdict"]
 
@@ -166,6 +166,11 @@ FORMATS = {
 }
 
 
+def report_path(out_dir, experiment: str, fmt: str) -> Path:
+    """The file that holds an experiment's report in the named format."""
+    return Path(out_dir) / f"{experiment.replace('/', '_')}.{fmt}"
+
+
 def emit_report(report: Report, formats, out_dir) -> list[Path]:
     """Write the report in each of the named formats; returns the file paths."""
     out = Path(out_dir)
@@ -174,11 +179,10 @@ def emit_report(report: Report, formats, out_dir) -> list[Path]:
     except OSError as err:
         raise RuntimeError(f"cannot create output directory {out}: {err}") from err
     paths = []
-    stem = report.experiment.replace("/", "_")
     for fmt in formats:
         if fmt not in FORMATS:
             raise ValueError(f"unknown report format {fmt!r}")
-        path = out / f"{stem}.{fmt}"
+        path = report_path(out, report.experiment, fmt)
         text = FORMATS[fmt](report)
         try:
             path.write_text(text)

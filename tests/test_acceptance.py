@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from kquant import (
+    ACCEPTANCE,
     ExperimentConfig,
     bergman,
     build_grid,
@@ -60,10 +61,11 @@ def test_criterion_01_balanced_round_metric(radial_grid):
         rho_err = max(rho_err, float(np.max(np.abs(rho.values - (k + 1)))))
         proj = fs(hilb(flat, k, md=md), radial_grid)
         fs_err = max(fs_err, float(np.max(np.abs(proj.values))))
-    passed = rho_err <= 1e-8 and fs_err <= 1e-9
+    rho_tol, fs_tol = ACCEPTANCE["balanced_rho_sup"], ACCEPTANCE["balanced_fs_sup"]
+    passed = rho_err <= rho_tol and fs_err <= fs_tol
     _announce(1, "balanced round metric", passed, f"sup|rho-(k+1)|={rho_err:.2e}, sup|fs o hilb|={fs_err:.2e}")
-    assert rho_err <= 1e-8
-    assert fs_err <= 1e-9
+    assert rho_err <= rho_tol
+    assert fs_err <= fs_tol
 
 
 def test_criterion_02_projection_identity(radial_grid, grid2d):
@@ -85,9 +87,9 @@ def test_criterion_02_projection_identity(radial_grid, grid2d):
             rho = bergman(pot, k, md=md).values
             rhs = pot.values + np.log(rho / sections_dim(k)) / k
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    passed = worst <= 1e-9
+    passed = worst <= ACCEPTANCE["identity_sup"]
     _announce(2, "projection identity", passed, f"sup defect={worst:.2e}")
-    assert worst <= 1e-9
+    assert worst <= ACCEPTANCE["identity_sup"]
 
 
 def test_criterion_03_density_expansion():

@@ -7,6 +7,7 @@ from kquant import (
     KQuantError,
     NotPositiveDefiniteError,
     Potential,
+    balanced_residual,
     bergman,
     bergman_path,
     bk_geodesic,
@@ -32,6 +33,7 @@ from kquant import (
     moment_energy,
     potential_from_radial_coeffs,
     potential_from_values,
+    psi_potential,
     quadratic_path,
     reparam_path,
     rotation_field,
@@ -45,7 +47,7 @@ from kquant import (
     z_sigma_k,
     zero_potential,
 )
-from kquant.functionals import S_NODES
+from kquant.functionals import S_NODES, _pairing
 
 from helpers import geodesic_distance, path_energies, path_integral_by_node, path_primitive, z_first_variation
 
@@ -119,6 +121,70 @@ def test_delta_linearity_and_zero(radial, bump):
     ab = delta_i_sigma(bump, 2.0 * d1 - 3.0 * d2, k)
     assert abs(ab - (2.0 * a - 3.0 * b)) <= 1e-10 * max(abs(a), abs(b))
     assert delta_i_sigma(bump, np.zeros_like(bump.values), k) == 0.0
+
+
+@pytest.mark.parametrize("mode", ["radial", "full2d"])
+def test_pairing_matches_the_phi_measure_form(radial, grid2d, bump, mode):
+    # the density cancels from int f Delta_phi g d mu_phi; the reference keeps
+    # it, on one field with an angular wave on full2d and on a path block
+    grid = radial if mode == "radial" else grid2d
+    pot, k = potential_from_radial_coeffs(grid, bump.profile), 8
+    wave = 0.0 if mode == "radial" else 0.1 * grid.u[:, None] * (1.0 - grid.u[:, None]) * np.cos(2.0 * grid.theta)
+    direction = potential_from_radial_coeffs(grid, [0.02, -0.01, 0.03]).values + wave
+    path = linear_path(pot)
+    blocks = [(pot, direction, np.exp(wave) * bergman(pot, k).values), (path.phi(S_NODES), path.dphi(S_NODES), None)]
+    for p, f, g in blocks:
+        md = metric_data(p)
+        g = psi_potential(sigma_lift(V, k), p, md=md).exp() if g is None else g
+        got = _pairing(md, f, g, k)
+        want = md.integrate(f * (k * g + grid.base_laplace(g) / md.density))
+        assert np.shape(got) == np.shape(want)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_identity_twist_weight_is_the_constant(monkeypatch, radial, bump):
+    # e^psi = (k+1)/k, so the differential is k(k+1) int eta d mu_phi, with no twist potential built
+    import kquant.functionals
+
+    path, k = linear_path(bump), 8
+    pots, vel = path.phi(S_NODES), path.dphi(S_NODES)
+    md = metric_data(pots)
+    epsi = psi_potential(identity_lift(k), pots, md=md).exp()
+    want = k * k * md.integrate(vel * epsi)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("psi_potential called at the identity twist")
+
+    monkeypatch.setattr(kquant.functionals, "psi_potential", refuse)
+    got = delta_i_sigma(pots, vel, k, identity_lift(k), md)
+    assert np.array_equal(got, k * (k + 1) * md.integrate(vel))
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+WRONG_DEGREE_CALLS = {
+    "delta_i_sigma": lambda p, lift: delta_i_sigma(p, p.values, 8, lift),
+    "delta_l_sigma": lambda p, lift: delta_l_sigma(p, p.values, 8, lift),
+    "i_sigma_k": lambda p, lift: i_sigma_k(p, 8, lift),
+    "l_sigma_k": lambda p, lift: l_sigma_k(p, 8, lift),
+    "z_sigma_k": lambda p, lift: z_sigma_k(hilb(p, 8), p.grid, lift),
+    "z_second_derivative_fd": lambda p, lift: z_second_derivative_fd(
+        bk_geodesic(hilb(zero_potential(p.grid), 8), hilb(p, 8)), p.grid, lift
+    ),
+    "i_sigma_hessian": lambda p, lift: i_sigma_hessian(linear_path(p), 0.5, 8, lift),
+    "fk_prime": lambda p, lift: fk_prime(p, zero_potential(p.grid), 8, lift),
+    "balanced_residual": lambda p, lift: balanced_residual(p, 8, lift),
+    "sigma_balanced_iterate": lambda p, lift: sigma_balanced_iterate(p, 8, lift, max_iter=1),
+}
+
+
+@pytest.mark.parametrize("lift", [identity_lift(16), sigma_lift(V, 16)], ids=["identity", "gradient"])
+@pytest.mark.parametrize("name", sorted(WRONG_DEGREE_CALLS))
+def test_lift_of_another_degree_is_refused(radial_small, name, lift):
+    # every function that takes k and a lift reads k for its weights, so a
+    # lift of degree 16 at k = 8 would mix two degrees
+    pot = potential_from_radial_coeffs(radial_small, [0.05, -0.07])
+    with pytest.raises(KQuantError, match="degree 16 cannot act at degree 8"):
+        WRONG_DEGREE_CALLS[name](pot, lift)
 
 
 def test_primitive_zero_and_constant_value(radial, flat):
@@ -535,8 +601,8 @@ def test_energy_fields_share_one_metric_data_per_node(monkeypatch, bump, energy)
     calls = spy_metric_data(monkeypatch)
     got = moment_energy(bump, V) if energy == "moment" else modified_k_energy(bump, circle_group(V))
     # the closed forms check the potential once per energy, never a block; the
-    # modified energy first reads the zero potential that fixes the extremal field
-    assert [p is bump for p in calls] == ([True] if energy == "moment" else [False, True, True])
+    # extremal field is read on the radial rule, with no metric data
+    assert [p is bump for p in calls] == ([True] if energy == "moment" else [True, True])
     assert abs(got - want) <= 1e-13 * abs(want)
 
 

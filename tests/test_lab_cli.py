@@ -356,6 +356,34 @@ def test_cli_unusable_output_directory_fails_before_running(tmp_path, capsys, mo
     assert runs == [] and blocker.read_text() == "" and list(tmp_path.iterdir()) == [blocker]
 
 
+def test_cli_report_path_that_is_a_directory_fails_before_running(tmp_path, capsys, monkeypatch):
+    import kquant.cli
+
+    runs = []
+    monkeypatch.setattr(kquant.cli, "run_experiment", lambda cfg: runs.append(cfg))
+    (tmp_path / "minimization.json").mkdir()
+    rc = cli_main(["run", "--experiment", "minimization", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "invalid config for minimization" in err and "minimization.json" in err
+    assert runs == [] and list(tmp_path.iterdir()) == [tmp_path / "minimization.json"]
+    assert list((tmp_path / "minimization.json").iterdir()) == []
+
+
+def test_cli_report_write_failure_after_the_run_exits_2(tmp_path, capsys, monkeypatch):
+    import kquant.cli
+
+    def refuse(report, formats, out_dir):
+        raise RuntimeError("cannot write report file: disk full")
+
+    monkeypatch.setattr(kquant.cli, "run_experiment", lambda cfg: Report(cfg.experiment))
+    monkeypatch.setattr(kquant.cli, "emit_report", refuse)
+    rc = cli_main(["run", "--experiment", "minimization", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "minimization" in err and "disk full" in err
+
+
 @pytest.mark.parametrize(
     "text, flags, names",
     [

@@ -57,7 +57,7 @@ def dense_fk_prime(pot, ref, k, lift):
     ratio = (tau_sq @ lam) / tau_sq.sum(axis=1)
     md = metric_data(ref)
     epsi = psi_potential(lift, ref, md=md).exp()
-    slope = 2.0 * np.sum(lam) - 2.0 * md.integrate(ratio * (k * epsi + md.laplace(epsi)))
+    slope = 2.0 * np.sum(lam) - 2.0 * md.integrate(ratio * (k * epsi + ref.grid.base_laplace(epsi) / md.density))
     return slope, np.max(np.abs(lam)) / k, np.sum(np.abs(lam))
 
 

@@ -1,7 +1,8 @@
 """Source guards over src/kquant: only grids knows the kind of grid it holds,
 no function imports from another kquant module, no module reads a private
-attribute that another module defines, functionals forms the twisted weight
-and runs the path rule in one place each, as one block, and every definition
+attribute that another module defines, functionals forms the twisted weight,
+pairs with (k + Delta_phi) and runs the path rule in one place each, as one
+block, and every definition
 has a reader in src/ or a stated reason to stay."""
 
 import ast
@@ -175,7 +176,11 @@ def test_functionals_forms_weight_and_path_rule_once():
     def loops_over_nodes(node):
         return isinstance(node, (ast.For, ast.comprehension)) and any(map(reads_nodes, ast.walk(node.iter)))
 
+    def calls_laplacian(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("base_laplace", "laplace")
+
     assert owners(tree, calls_psi) == {"delta_i_sigma", "fk_prime"}
+    assert owners(tree, calls_laplacian) == {"_pairing"}
     assert owners(tree, loops_over_nodes) == set()
     assert owners(tree, reads_nodes) == {"_path_integral"}
 
