@@ -75,7 +75,7 @@ def main(argv=None) -> int:
     runp = sub.add_parser("run", help="run an experiment and emit reports")
     runp.add_argument("--experiment", required=True, help="experiment name or 'all'")
     runp.add_argument("--config", help="flat key = value config file")
-    runp.add_argument("--k", help="comma-separated degree list")
+    runp.add_argument("--k", help="degree list, comma- or space-separated")
     runp.add_argument("--resolution", type=int)
     runp.add_argument("--seed", type=int)
     runp.add_argument("--out", help="output directory")
@@ -91,8 +91,8 @@ def main(argv=None) -> int:
     try:
         if args.config:
             fields.update(_coerce(_parse_config_file(args.config)))
-        if args.k:
-            fields["k_list"] = tuple(int(t) for t in args.k.split(","))
+        flags = {"k_list": args.k, "formats": args.format}
+        fields.update(_coerce({key: value for key, value in flags.items() if value}))
     except (KQuantError, OSError, ValueError) as err:
         print(f"invalid config: {err}", file=sys.stderr)
         return 2
@@ -102,8 +102,6 @@ def main(argv=None) -> int:
         fields["seed"] = args.seed
     if args.out:
         fields["out_dir"] = args.out
-    if args.format:
-        fields["formats"] = tuple(t.strip() for t in args.format.split(","))
 
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     fields.pop("experiment", None)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -328,18 +329,26 @@ def holomorphy_potential(V: VectorFieldSpec, pot: Potential, md: MetricData | No
 
 @dataclass(frozen=True)
 class AutomorphismLift:
-    """A linear automorphism z -> scale * z with its degree-k section action.
+    """A dilation z -> scale * z, scale > 0, with its degree-k section action.
 
-    The section action on the monomial basis is diag(scale^j); composing
-    lifts multiplies the scales, so the one-parameter group law is exact.
+    The twist is the flow of a gradient field, so every lift is a real
+    dilation; a scale that is not finite and positive, or a degree below 1,
+    is refused.  The section action on the monomial basis is diag(scale^j),
+    so the product of two scales acts as the product of their actions.
     ``base_potential`` is the closed-form c with sigma^* omega_0 = omega_0
     + (i/2pi) ddbar c.  ``compose_potential`` keeps the interpolation matrix
     of the last grid it composed on, so a path of potentials on one grid
     builds it once.
     """
 
-    scale: complex
+    scale: float
     degree: int
+
+    def __post_init__(self):
+        if not (isinstance(self.scale, Real) and 0.0 < self.scale < np.inf):
+            raise KQuantError(f"a lift scale must be a finite positive real, got {self.scale!r}")
+        if self.degree < 1:
+            raise KQuantError("degree k must be at least 1")
 
     @property
     def is_identity(self) -> bool:
@@ -348,20 +357,14 @@ class AutomorphismLift:
     def inverse(self) -> "AutomorphismLift":
         return AutomorphismLift(scale=1.0 / self.scale, degree=self.degree)
 
-    def compose(self, other: "AutomorphismLift") -> "AutomorphismLift":
-        if self.degree != other.degree:
-            raise KQuantError("cannot compose lifts of different degrees")
-        return AutomorphismLift(scale=self.scale * other.scale, degree=self.degree)
-
     def pulled_u(self, grid) -> np.ndarray:
         """u-coordinate of sigma(z) at the grid nodes."""
-        lam2 = abs(self.scale) ** 2
+        lam2 = self.scale**2
         return lam2 * grid.u / (1.0 - grid.u + lam2 * grid.u)
 
     def base_potential(self, grid) -> np.ndarray:
-        """c_sigma = log((1 + |scale|^2 rho)/(1 + rho)), in closed form."""
-        lam2 = abs(self.scale) ** 2
-        return grid.broadcast(np.log1p((lam2 - 1.0) * grid.u))
+        """c_sigma = log((1 + scale^2 rho)/(1 + rho)), in closed form."""
+        return grid.broadcast(np.log1p((self.scale**2 - 1.0) * grid.u))
 
     @cached_property
     def _pullback(self) -> list:
@@ -370,7 +373,7 @@ class AutomorphismLift:
         return [None, None]
 
     def compose_potential(self, pot: Potential) -> np.ndarray:
-        """Values of phi(sigma(z)) at the grid nodes: interpolate at |sigma(z)|, then rotate."""
+        """Values of phi(sigma(z)) at the grid nodes, interpolated at |sigma(z)|."""
         if self.is_identity:
             return pot.values
         grid = pot.grid
@@ -378,13 +381,11 @@ class AutomorphismLift:
         if slot[0] is not grid:
             rg = grid.radial
             slot[:] = grid, interp_matrix(rg.u, rg.bary, self.pulled_u(rg))
-        return grid.rotate(grid.apply_radial(slot[1], pot.values), float(np.angle(self.scale)))
+        return grid.apply_radial(slot[1], pot.values)
 
-    def pullback_potential(self, pot: Potential, normalize: bool = False) -> Potential:
+    def pullback_potential(self, pot: Potential) -> Potential:
         """Potential of sigma^* omega_phi: c_sigma + phi o sigma."""
-        vals = self.base_potential(pot.grid) + self.compose_potential(pot)
-        out = pot.with_values(vals)
-        return out.mean_normalized() if normalize else out
+        return pot.with_values(self.base_potential(pot.grid) + self.compose_potential(pot))
 
 
 def identity_lift(k: int) -> AutomorphismLift:
@@ -408,7 +409,5 @@ def sigma_lift(V: VectorFieldSpec, k: int) -> AutomorphismLift:
     TWIST_RATE_DEFAULT = -pi/2, which makes k psi_k converge to
     (theta + 2)/2; see quantize.psi_potential.
     """
-    if k < 1:
-        raise KQuantError("degree k must be at least 1")
-    lam = V.flow_scale(-TWIST_RATE_DEFAULT / k)
+    lam = V.flow_scale(-TWIST_RATE_DEFAULT / max(k, 1))  # the lift refuses k < 1
     return AutomorphismLift(scale=lam, degree=k)

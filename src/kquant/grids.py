@@ -14,7 +14,7 @@ accurate); invariant and even-frequency fields resolve to roundoff.
 
 The two grid classes share one set of methods (field shape, broadcasting of
 radial profiles, the invariance test, base Laplacian and gradient pairing,
-rotation, Gram forms and their contractions), so this module is the only one
+Gram forms and their contractions), so this module is the only one
 that knows which kind of grid it holds.  A radial grid makes its Gram forms
 as the log-diagonal log h_j in the monomial basis and contracts them by
 log-sum-exp, with no matrix factorization and no overflow at high degree;
@@ -34,7 +34,7 @@ batch + ``shape`` give results of the same leading shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property
 
 import numpy as np
 
@@ -191,10 +191,6 @@ class RadialGrid:
         """(d_z f, d_z g)/A_0 = u (1-u) f_u g_u for radial real fields."""
         return self.u * (1.0 - self.u) * self.apply_radial(self.D, f) * self.apply_radial(self.D, g)
 
-    def rotate(self, values: np.ndarray, angle: float) -> np.ndarray:
-        """Rotation of the chart by ``angle``; radial fields do not move."""
-        return values
-
     def log_section_norms(self, k: int) -> np.ndarray:
         """log |s_j|^2 = j log u + (k-j) log(1-u) at the nodes, shape (n_u, k+1)."""
         j = np.arange(k + 1)
@@ -263,22 +259,6 @@ class RadialGrid:
         return (table @ (rate * terms)) / (table @ terms)
 
 
-def _field_by_field(op):
-    """Let a 2D field operator take a block by running it on one field at a
-    time, so its temporaries stay the size of one field."""
-
-    @wraps(op)
-    def run(self, values: np.ndarray, *args) -> np.ndarray:
-        if values.ndim == 2:
-            return op(self, values, *args)
-        out = np.empty(values.shape)
-        for i in np.ndindex(values.shape[:-2]):
-            out[i] = op(self, values[i], *args)
-        return out
-
-    return run
-
-
 @dataclass(frozen=True)
 class Full2DGrid:
     """Product grid Gauss-Legendre (radial) x uniform periodic (angle).
@@ -312,10 +292,6 @@ class Full2DGrid:
     def weights(self) -> np.ndarray:
         return np.repeat(self.wu[:, None] / self.n_theta, self.n_theta, axis=1)
 
-    @cached_property
-    def _m(self) -> np.ndarray:
-        return np.fft.fftfreq(self.n_theta, d=1.0 / self.n_theta)
-
     def integrate(self, values: np.ndarray, weights: np.ndarray | None = None, keepdims: bool = False):
         """The integral of each field of a block; ``keepdims`` keeps unit field axes.
 
@@ -333,8 +309,9 @@ class Full2DGrid:
     def _angular(self) -> tuple[np.ndarray, np.ndarray]:
         """Spectral d/dtheta and d^2/dtheta^2 as real n_theta x n_theta right
         factors A, f @ A = Re ifft(symbol * fft f), the Nyquist mode included."""
+        m = np.fft.fftfreq(self.n_theta, d=1.0 / self.n_theta)
         spec = np.fft.fft(np.eye(self.n_theta), axis=-1)
-        return tuple(np.real(np.fft.ifft(symbol * spec, axis=-1)) for symbol in (1j * self._m, -(self._m**2)))
+        return tuple(np.real(np.fft.ifft(symbol * spec, axis=-1)) for symbol in (1j * m, -(m**2)))
 
     @cached_property
     def _uv(self) -> np.ndarray:
@@ -353,25 +330,21 @@ class Full2DGrid:
         np.abs(spread, out=spread)
         return bool(np.max(spread) <= 1e-12 * max(1.0, np.max(values), -np.min(values)))
 
-    @_field_by_field
     def base_laplace(self, values: np.ndarray) -> np.ndarray:
-        """Delta_0 f = -(d_z d_zbar f)/A_0 = -(u (1-u) f_u)_u - f_theta_theta / (4 u (1-u))."""
-        D = self.radial.D
-        return -(D @ (self._uv * (D @ values))) - (values @ self._angular[1]) / (4.0 * self._uv)
+        """Delta_0 f = -(d_z d_zbar f)/A_0 = -(u (1-u) f_u)_u - f_theta_theta / (4 u (1-u)).
+
+        A block runs one field at a time, so its temporaries stay the size of one field.
+        """
+        D, A2, uv = self.radial.D, self._angular[1], self._uv
+        out = np.empty(values.shape)
+        for i in np.ndindex(values.shape[:-2]):
+            out[i] = -(D @ (uv * (D @ values[i]))) - (values[i] @ A2) / (4.0 * uv)
+        return out
 
     def base_inner_grad(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """(d_z f, d_z g)/A_0 = u (1-u) f_u g_u + f_theta g_theta / (4 u (1-u))."""
         D, A = self.radial.D, self._angular[0]
         return self._uv * (D @ f) * (D @ g) + (f @ A) * (g @ A) / (4.0 * self._uv)
-
-    def rotate(self, values: np.ndarray, angle: float) -> np.ndarray:
-        """Values of f(e^{i angle} z), through the angular spectrum."""
-        return values if angle == 0.0 else self._turn(values, angle)
-
-    @_field_by_field
-    def _turn(self, values: np.ndarray, angle: float) -> np.ndarray:
-        spec = np.fft.fft(values, axis=-1)
-        return np.real(np.fft.ifft(spec * np.exp(1j * self._m * angle), axis=-1))
 
     def _pair_table(self, k: int) -> np.ndarray:
         """q[u, p] = |s_a||s_b| for a + b = p: u^{p/2} (1-u)^{k-p/2}, shape (n_u, 2k+1).

@@ -67,6 +67,10 @@ DEFAULT_KS = {
     "almost-balanced": (8, 16, 32, 64),
     "minimization": (8,),
 }
+# The experiments that fit a power law over their degrees.  path-independence
+# fits its gradient-twist defect over k_list and PATH_TWIST_KS, to expose its decay.
+FITTED = {"bergman-expansion", "psi-expansion", "path-independence", "compare-LZ", "quantize-E", "almost-balanced"}
+PATH_TWIST_KS = (16, 32)
 
 
 @dataclass(frozen=True)
@@ -92,6 +96,9 @@ class ExperimentConfig:
             a >= b for a, b in zip(self.k_list, self.k_list[1:])
         ):
             raise G.KQuantError("k_list must be strictly increasing positive integers")
+        fitted = set(self.k_list) | set(PATH_TWIST_KS if self.experiment == "path-independence" else ())
+        if self.experiment in FITTED and len(fitted) < 3:
+            raise G.KQuantError(f"a power-law fit needs at least 3 degrees; {self.experiment} fits {sorted(fitted)}")
         if not 8 <= self.resolution <= 4096:
             raise G.KQuantError("resolution must lie in [8, 4096]")
         unknown = [fmt for fmt in self.formats if fmt not in FORMATS]
@@ -246,8 +253,7 @@ def _exp_path_independence(ctx: _Ctx) -> Report:
     cfg = ctx.cfg
     ks = list(cfg.k_list)
     base_vals = [_three_path_defect(ctx, k, twisted=False) for k in ks]
-    # twisted defect measured over a wider degree range to expose its decay
-    ks_tw = sorted(set(ks) | {16, 32})
+    ks_tw = sorted(set(ks) | set(PATH_TWIST_KS))
     tw_vals = [_three_path_defect(ctx, k, twisted=True) for k in ks_tw]
     fit_tw = fit_power_law(list(zip(ks_tw, tw_vals)))
     series = [

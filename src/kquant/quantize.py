@@ -278,6 +278,6 @@ def sigma_balanced_iterate(
         if it == max_iter:
             break
         projected = fs(form, current.grid)
-        current = inv.pullback_potential(projected, normalize=True)
+        current = inv.pullback_potential(projected).mean_normalized()
     log.message = f"no convergence after {max_iter} iterations (residual {log.residuals[-1]:.3e})"
     return current, log

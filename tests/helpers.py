@@ -78,7 +78,7 @@ def map_points(lift, z):
 
 def section_matrix(lift) -> np.ndarray:
     """The lift's action diag(scale^j) on the monomial sections."""
-    return np.diag(np.asarray(lift.scale, dtype=complex) ** np.arange(lift.degree + 1))
+    return np.diag(lift.scale ** np.arange(lift.degree + 1.0))
 
 
 def hermitian_defect(form) -> float:

@@ -140,7 +140,6 @@ def test_grid_operators_take_a_leading_batch_axis(grid):
     M = np.random.default_rng(5).uniform(-1, 1, (grid.resolution, grid.resolution))
     assert_stacked(grid.base_laplace(F), [grid.base_laplace(f) for f in F], laplace_floor(grid, F))
     assert_stacked(grid.base_inner_grad(F, G), [grid.base_inner_grad(f, g) for f, g in zip(F, G)])
-    assert_stacked(grid.rotate(F, 0.4), [grid.rotate(f, 0.4) for f in F])
     assert_stacked(grid.apply_radial(M, F), [grid.apply_radial(M, f) for f in F])
     assert_stacked(grid.integrate(F), [grid.integrate(f) for f in F])
     assert_stacked(grid.integrate(F, w), [grid.integrate(f, wi) for f, wi in zip(F, w)])

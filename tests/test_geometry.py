@@ -147,8 +147,8 @@ def test_lift_group_law_and_identity(radial):
     a = flow_lift(V, 4, 0.3)
     b = flow_lift(V, 4, 0.7)
     c = sigma_lift(V, 4)
-    assert abs(a.compose(b).scale - c.scale) <= 1e-10
-    assert np.max(np.abs(section_matrix(a.compose(a.inverse())) - np.eye(5))) <= 1e-12
+    assert abs(a.scale * b.scale - c.scale) <= 1e-10
+    assert np.max(np.abs(section_matrix(a) @ section_matrix(a.inverse()) - np.eye(5))) <= 1e-12
     ident = sigma_lift(VectorFieldSpec(strength=0.0), 4)
     assert ident.is_identity
     assert np.max(np.abs(ident.base_potential(radial))) == 0.0
@@ -187,11 +187,27 @@ def test_lift_flow_consistency_fd(radial):
     assert abs(gen - rate * z) <= 1e-8
 
 
-def test_section_matrix_diagonal_and_unitary_for_rotations():
-    rot = AutomorphismLift(scale=np.exp(1j * 0.9), degree=5)
-    U = section_matrix(rot)
-    assert np.max(np.abs(U - np.diag(np.diag(U)))) == 0.0
-    assert np.max(np.abs(U.conj().T @ U - np.eye(6))) <= 1e-12
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: AutomorphismLift(0.0, 8),
+        lambda: AutomorphismLift(-1.3, 8),
+        lambda: AutomorphismLift(1.3j, 8),
+        lambda: AutomorphismLift(np.nan, 8),
+        lambda: AutomorphismLift(np.inf, 8),
+        lambda: AutomorphismLift(1.1, 0),
+        lambda: identity_lift(0),
+        lambda: sigma_lift(rotation_field(1.0), 0),
+    ],
+    ids=["zero", "negative", "imaginary", "nan", "inf", "degree-0", "identity-degree-0", "twist-degree-0"],
+)
+def test_lift_that_is_not_a_positive_dilation_is_refused(make):
+    # a zero scale used to reach the path integrals, and degree 0 a bare ZeroDivisionError
+    with pytest.raises(KQuantError):
+        make()
+
+
+def test_section_matrix_of_a_dilation_is_diagonal():
     scl = AutomorphismLift(scale=1.2, degree=3)
     assert np.max(np.abs(np.diag(section_matrix(scl)) - 1.2 ** np.arange(4))) <= 1e-12
 
@@ -276,16 +292,14 @@ def test_cached_pullback_equals_fresh_build(request, grid_name):
 
 
 @pytest.mark.parametrize("grid_name", ["radial", "grid2d"])
-def test_lift_interpolates_then_rotates(request, grid_name):
+def test_lift_interpolates_at_the_pulled_radius(request, grid_name):
     grid = request.getfixturevalue(grid_name)
     lam = np.sqrt(1.7)
     pot = potential_from_values(grid, grid.broadcast(grid.u**2))
     u_t = AutomorphismLift(scale=lam, degree=4).pulled_u(grid)
     dilated = AutomorphismLift(scale=lam, degree=4).compose_potential(pot)
-    turned = AutomorphismLift(scale=lam * np.exp(0.7j), degree=4).compose_potential(pot)
-    assert turned.shape == grid.shape
-    assert np.max(np.abs(turned - dilated)) <= 1e-13
-    assert np.max(np.abs(grid.radial_part(turned) - u_t**2)) <= 1e-12
+    assert dilated.shape == grid.shape
+    assert np.max(np.abs(grid.radial_part(dilated) - u_t**2)) <= 1e-12
 
 
 def test_sections_dim():

@@ -121,7 +121,7 @@ def test_config_accepts_resolved_full2d_degrees():
         "almost-balanced", grid_mode="full2d", resolution=96, n_theta=64, k_list=(16, 32, 48)
     )
     assert cfg.k_list == (16, 32, 48)
-    ExperimentConfig("almost-balanced", grid_mode="full2d", resolution=96, n_theta=64, k_list=(63,))
+    ExperimentConfig("almost-balanced", grid_mode="full2d", resolution=96, n_theta=64, k_list=(16, 32, 63))
 
 
 def test_config_fields_pinned():
@@ -368,6 +368,48 @@ def test_cli_report_path_that_is_a_directory_fails_before_running(tmp_path, caps
     assert err.count("\n") == 1 and "invalid config for minimization" in err and "minimization.json" in err
     assert runs == [] and list(tmp_path.iterdir()) == [tmp_path / "minimization.json"]
     assert list((tmp_path / "minimization.json").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "experiment, ks",
+    [
+        ("bergman-expansion", "8,16"),
+        ("psi-expansion", "8,16"),
+        ("compare-LZ", "8,16"),
+        ("quantize-E", "8,16"),
+        ("almost-balanced", "8"),
+        ("path-independence", "16"),  # its fit adds 16 and 32: still two degrees
+        ("path-independence", "16,32"),
+    ],
+)
+def test_cli_too_few_fitted_degrees_fail_before_running(tmp_path, capsys, monkeypatch, experiment, ks):
+    import kquant.cli
+
+    runs = []
+    monkeypatch.setattr(kquant.cli, "run_experiment", lambda cfg: runs.append(cfg))
+    out = tmp_path / "reports"
+    assert cli_main(["run", "--experiment", experiment, "--k", ks, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"invalid config for {experiment}" in err and "at least 3" in err
+    assert runs == [] and not out.exists()
+
+
+def test_config_counts_only_the_degrees_an_experiment_fits():
+    assert ExperimentConfig("path-independence", k_list=(4,)).k_list == (4,)
+    assert ExperimentConfig("hessian-check", k_list=(8,)).k_list == (8,)
+    for name in EXPERIMENTS:  # every default passes
+        ExperimentConfig(name)
+
+
+@pytest.mark.parametrize("ks", ["8,16,32", "8 16 32", "8, 16, 32"])
+def test_cli_degree_flag_reads_the_config_file_grammar(tmp_path, capsys, monkeypatch, ks):
+    import kquant.cli
+
+    runs = []
+    monkeypatch.setattr(kquant.cli, "run_experiment", lambda cfg: runs.append(cfg) or Report(cfg.experiment))
+    argv = ["run", "--experiment", "bergman-expansion", "--k", ks, "--format", "json, csv", "--out", str(tmp_path)]
+    assert cli_main(argv) == 0
+    assert [(cfg.k_list, cfg.formats) for cfg in runs] == [((8, 16, 32), ("json", "csv"))]
 
 
 def test_cli_report_write_failure_after_the_run_exits_2(tmp_path, capsys, monkeypatch):

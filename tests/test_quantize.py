@@ -24,7 +24,7 @@ from kquant import (
     zero_potential,
 )
 
-from helpers import hermitian_defect, radial_ddbar, rho_of, section_matrix, write_iteration_csv
+from helpers import hermitian_defect, radial_ddbar, rho_of, write_iteration_csv
 
 
 def eigh_contraction(form: HermForm, grid) -> np.ndarray:
@@ -144,9 +144,11 @@ def test_gram_equivariance_under_rotation(grid2d):
     x1 = 2.0 * np.sqrt(grid2d.u * (1.0 - grid2d.u))[:, None] * np.cos(grid2d.theta)[None, :]
     pot = potential_from_values(grid2d, 0.03 * x1 + 0.01 * (grid2d.u**2)[:, None], invariant=False)
     k, beta = 8, 0.7
-    rot = AutomorphismLift(scale=np.exp(1j * beta), degree=k)
-    rotated = potential_from_values(grid2d, rot.compose_potential(pot), invariant=False)
-    U = section_matrix(rot)
+    # phi(e^{i beta} z): each angular frequency m picks up the phase e^{i m beta}
+    m = np.fft.fftfreq(grid2d.n_theta, d=1.0 / grid2d.n_theta)
+    turned = np.real(np.fft.ifft(np.fft.fft(pot.values, axis=-1) * np.exp(1j * m * beta), axis=-1))
+    rotated = potential_from_values(grid2d, turned, invariant=False)
+    U = np.diag(np.exp(1j * beta * np.arange(k + 1)))
     lhs = hilb(rotated, k).entries
     rhs = U @ hilb(pot, k).entries @ U.conj().T
     scale = np.max(np.abs(rhs))

@@ -26,7 +26,6 @@ ALLOWED_UNREAD = {
     "quantize.py:sigma_balanced_iterate": "kept for the planned sigma-balanced solve; read by kbench",
     "functionals.py:calabi": "read by kbench",
     "reporting.py:report_from_json": "public API: reads back the reports that emit_report writes",
-    "geometry.py:AutomorphismLift.compose": "the group law of the lifts",
 }
 
 
