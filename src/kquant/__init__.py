@@ -9,6 +9,9 @@ Hermitian forms on section spaces, the twisted energy functional stack with
 its variational identities, and a config-driven experiment harness.
 """
 
+# Set before the submodules load: reports record it.
+__version__ = "0.1.0"
+
 from .geometry import (
     SBAR,
     VOLUME,
@@ -80,4 +83,3 @@ from .lab import (
 )
 from .reporting import FitResult, Report, Series, Verdict, emit_report, report_from_json
 
-__version__ = "0.1.0"

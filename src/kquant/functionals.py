@@ -24,6 +24,21 @@ x log x + (1-x) log(1-x); the modified K-energy is K + M_X.  The integrand
 of K is >= 0 at every point.  Only off the invariant slice does the K-energy
 take the path integral along the straight segment from 0.
 
+At the identity twist e^psi is the constant (k+1)/k and the density
+1 - s Delta_0 phi of s phi is affine in s, so the Aubin energy integrates in
+closed form along the segment from 0 (Aubin, J. Funct. Anal. 1984):
+
+    I_k(phi) = k(k+1) E(phi),   E(phi) = 1/2 int phi (d mu_0 + d mu_phi),
+
+the Monge-Ampere energy of complex dimension 1.  A twist, or an explicit
+path, takes the path rule.  A path s -> sum_i c_i(s) P_i is linear in its
+terms, so Delta_0 and the pullback by sigma are applied once per term P_i and
+combined with the c_i at the nodes.  Delta_0 moves onto the direction as its
+transpose: int eta Delta_0 e^psi d mu_0 is the dot product of e^psi with the
+transpose applied to the weighted eta, the same sum reordered (the discrete
+Laplacian is not exactly self-adjoint, so its transpose, not itself, keeps
+the value).  Per node only e^psi and dot products with the term fields remain.
+
 delta I, delta L and the slope F_k' pair a field with k + Delta_phi, always on
 the base measure: int f (k + Delta_phi) g d mu_phi = k int f g d mu_phi +
 int f Delta_0 g d mu_0, as Delta_phi = Delta_0 / density.  At the identity
@@ -49,6 +64,8 @@ from .geometry import (
     Potential,
     SBAR,
     VectorFieldSpec,
+    density_field,
+    kahler_density,
     lift_at_degree,
     metric_data,
     zero_potential,
@@ -60,6 +77,7 @@ from .quantize import (
     bergman,
     fs,
     hilb,
+    normalized_psi,
     psi_potential,
 )
 
@@ -113,9 +131,16 @@ class PathInPotentials:
 
     terms: tuple[tuple[Potential, tuple[float, ...]], ...]
 
+    def coefficients(self, s: float | np.ndarray, m: int = 0) -> np.ndarray:
+        """The m-th s-derivatives c_i^(m)(s), one row per term."""
+        rates = [c for _, c in self.terms]
+        for _ in range(m):  # numpy's polyder arithmetic, without its per-call overhead
+            rates = [[j * a for j, a in enumerate(c)][1:] or [0.0] for c in rates]
+        return np.array([P.polyval(s, r) for r in rates])
+
     def phi(self, s: float | np.ndarray) -> Potential:
         pots = [term for term, _ in self.terms]
-        coefs = [P.polyval(s, c) for _, c in self.terms]
+        coefs = self.coefficients(s)
         profile = None
         if all(p.profile is not None for p in pots):
             n = max(len(p.profile) for p in pots)
@@ -126,17 +151,11 @@ class PathInPotentials:
     def _combine(self, coefs) -> np.ndarray:
         return sum(np.multiply.outer(a, term.values) for (term, _), a in zip(self.terms, coefs))
 
-    def _derivative(self, s: float | np.ndarray, m: int) -> np.ndarray:
-        rates = [c for _, c in self.terms]
-        for _ in range(m):  # numpy's polyder arithmetic, without its per-call overhead
-            rates = [[j * a for j, a in enumerate(c)][1:] or [0.0] for c in rates]
-        return self._combine([P.polyval(s, r) for r in rates])
-
     def dphi(self, s: float | np.ndarray) -> np.ndarray:
-        return self._derivative(s, 1)
+        return self._combine(self.coefficients(s, 1))
 
     def d2phi(self, s: float | np.ndarray) -> np.ndarray:
-        return self._derivative(s, 2)
+        return self._combine(self.coefficients(s, 2))
 
 
 def linear_path(pot: Potential) -> PathInPotentials:
@@ -233,13 +252,9 @@ def _pairing(md: MetricData, f: np.ndarray, g: np.ndarray, k: int) -> np.ndarray
     """int f (k + Delta_phi) g d mu_phi = k int f g d mu_phi + int f Delta_0 g d mu_0.
 
     Delta_phi = Delta_0 / density, so the density cancels from the Laplacian
-    term, which integrates against the base weights.  Each term holds one
-    temporary at a time: a block of 2D fields is megabytes.
+    term, which integrates against the base weights.
     """
-    mass = k * md.integrate(f * g)
-    weight = md.grid.base_laplace(g)
-    weight *= f
-    return mass + md.grid.integrate(weight)
+    return k * md.integrate(f * g) + md.grid.integrate(f * md.grid.base_laplace(g))
 
 
 def _path_integral(path: PathInPotentials, one_form: Callable[[Potential, np.ndarray], np.ndarray]) -> float:
@@ -251,28 +266,70 @@ def _path_integral(path: PathInPotentials, one_form: Callable[[Potential, np.nda
     return float(S_WEIGHTS @ one_form(path.phi(S_NODES), path.dphi(S_NODES)))
 
 
+def _leg_integral(leg: PathInPotentials, k: int, lift: AutomorphismLift) -> float:
+    """int_0^1 delta_i_sigma(phi_s, phi_s') ds along phi_s = sum_i c_i(s) P_i, by
+    the rule S_NODES/S_WEIGHTS, with Delta_0 and the pullback applied once per term.
+
+    The one-form at a node is k sum_i c_i'(s) [k int e^psi P_i d mu_phi +
+    int P_i Delta_0 e^psi d mu_0].  The second pairing is e^psi dotted with
+    the transpose of Delta_0 applied to the weighted P_i: the node-by-node
+    sum, reordered.  At the identity e^psi = (k+1)/k and it vanishes.  The
+    node block holds the density, turned into volume weights, and psi, turned
+    into e^psi and then its product with them; a third field while psi is
+    normalized.
+    """
+    pots = [p for p, _ in leg.terms]
+    grid, n, values = pots[0].grid, len(S_NODES), np.stack([p.values for p in pots])
+    c, rate = leg.coefficients(S_NODES), leg.coefficients(S_NODES, 1)
+    laplace = 1.0 - np.stack([density_field(p) for p in pots])
+    # the ends are checked with the nodes: on a straight leg the density is affine in s
+    kahler_density(1.0 - np.tensordot(leg.coefficients(np.array([0.0, 1.0])).T, laplace, axes=1))
+    vw = np.tensordot(c.T, laplace, axes=1)
+    np.subtract(1.0, vw, out=vw)
+    kahler_density(vw)
+    vw *= grid.weights
+    if lift.is_identity:
+        weight, lap_pairs = vw, 0.0
+        weight *= (k + 1) / k
+    else:
+        defect = np.tensordot(c.T, np.stack([lift.pullback_defect(p) for p in pots]), axes=1)
+        defect += lift.base_potential(grid)
+        psi = normalized_psi(defect, k, grid, vw).values
+        weight = np.exp(psi, out=psi)
+        lap_terms = grid.base_laplace_transpose(values * grid.weights)
+        lap_pairs = weight.reshape(n, -1) @ lap_terms.reshape(len(pots), -1).T
+        weight *= vw
+    mass_pairs = weight.reshape(n, -1) @ values.reshape(len(pots), -1).T
+    return float(S_WEIGHTS @ (k * np.sum(rate.T * (k * mass_pairs + lap_pairs), axis=1)))
+
+
 def i_sigma_k(
     pot_or_paths,
     k: int,
     lift: AutomorphismLift | None = None,
     path: PathInPotentials | list[PathInPotentials] | None = None,
 ) -> float:
-    """Twisted Aubin energy: path integral of its differential from 0.
+    """Twisted Aubin energy: the integral of its differential from 0.
 
-    The default path is the straight segment s -> s phi.  A path or list of
-    path legs may be supplied instead; the cocycle property makes leg sums
-    meaningful.  At the identity twist the one-form is exact and the value
-    is path independent to quadrature accuracy; a nontrivial twist carries a
-    second-order closedness defect, reported by the path-independence
-    experiment.
+    The default path is the straight segment s -> s phi, on which the
+    identity twist takes the closed form k(k+1) E(phi).  Otherwise each leg
+    of the path, or of a supplied path or list of legs, is integrated by
+    the path rule; the cocycle property makes leg sums meaningful.  At the
+    identity twist the one-form is exact and the value is path independent
+    to quadrature accuracy; a nontrivial twist carries a second-order
+    closedness defect, reported by the path-independence experiment.
     """
+    lift = lift_at_degree(k, lift)
     if path is None:
         if not isinstance(pot_or_paths, Potential):
             raise KQuantError("need a potential or an explicit path")
-        legs = [linear_path(pot_or_paths)]
-    else:
-        legs = path if isinstance(path, list) else [path]
-    return float(sum(_path_integral(leg, lambda p, vel: delta_i_sigma(p, vel, k, lift)) for leg in legs))
+        pot = pot_or_paths
+        if lift.is_identity:  # the density is affine along the segment: positive at its end, positive on it
+            md = metric_data(pot)
+            return float(k * (k + 1) * 0.5 * (pot.grid.integrate(pot.values) + md.integrate(pot.values)))
+        path = linear_path(pot)
+    legs = path if isinstance(path, list) else [path]
+    return float(sum(_leg_integral(leg, k, lift) for leg in legs))
 
 
 def l_sigma_k(pot: Potential, k: int, lift: AutomorphismLift | None = None) -> float:

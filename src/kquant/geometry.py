@@ -44,6 +44,8 @@ __all__ = [
     "potential_from_values",
     "load_potential",
     "MetricData",
+    "density_field",
+    "kahler_density",
     "metric_data",
     "VectorFieldSpec",
     "rotation_field",
@@ -265,16 +267,27 @@ class MetricData:
         return self.grid.integrate(values, self.volume_weights, keepdims)
 
 
-def metric_data(pot: Potential) -> MetricData:
-    """Assemble MetricData, with the density of the exact profile if there is one;
-    rejects non-Kahler input (A_phi <= 0 anywhere)."""
+def density_field(pot: Potential) -> np.ndarray:
+    """1 - Delta_0 phi, unchecked, from the exact profile if there is one: the
+    density of d mu_phi when phi is Kahler."""
     grid = pot.grid
-    density = 1.0 - grid.base_laplace(pot.values) if pot.profile is None else grid.broadcast(_exact_fields(pot, 1)[0])
+    return 1.0 - grid.base_laplace(pot.values) if pot.profile is None else grid.broadcast(_exact_fields(pot, 1)[0])
+
+
+def kahler_density(density: np.ndarray) -> np.ndarray:
+    """The density, refused unless positive at every node (A_phi > 0)."""
     if np.min(density) <= 0.0:
         raise NonKahlerError(
             f"potential not Kahler: min density {np.min(density):.3e} <= 0"
         )
-    return MetricData(potential=pot, density=density, volume_weights=grid.weights * density)
+    return density
+
+
+def metric_data(pot: Potential) -> MetricData:
+    """Assemble MetricData, with the density of the exact profile if there is one;
+    rejects non-Kahler input (A_phi <= 0 anywhere)."""
+    density = kahler_density(density_field(pot))
+    return MetricData(potential=pot, density=density, volume_weights=pot.grid.weights * density)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +395,14 @@ class AutomorphismLift:
             rg = grid.radial
             slot[:] = grid, interp_matrix(rg.u, rg.bary, self.pulled_u(rg))
         return grid.apply_radial(slot[1], pot.values)
+
+    def pullback_defect(self, pot: Potential) -> np.ndarray:
+        """phi o sigma - phi at the nodes: an exact profile's polynomial at the
+        pulled-back u, other potentials interpolated by compose_potential."""
+        if pot.profile is None:
+            return self.compose_potential(pot) - pot.values
+        rg, coeffs = pot.grid.radial, np.r_[0.0, pot.profile]
+        return pot.grid.broadcast(P.polyval(self.pulled_u(rg), coeffs) - P.polyval(rg.u, coeffs))
 
     def pullback_potential(self, pot: Potential) -> Potential:
         """Potential of sigma^* omega_phi: c_sigma + phi o sigma."""

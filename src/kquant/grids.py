@@ -116,6 +116,20 @@ def interp_matrix(x: np.ndarray, w: np.ndarray, targets: np.ndarray) -> np.ndarr
     return P
 
 
+# [nodes, barycentric weights] of the last radial nodes tabulated.
+_BARY_SLOT: list = [None, None]
+
+
+def _shared_bary(u: np.ndarray) -> np.ndarray:
+    """Barycentric weights of the nodes u, read-only and shared by the radial
+    grids on one node array.  One slot, like the grids' own tables."""
+    if _BARY_SLOT[0] is not u:
+        bary = barycentric_weights(u)
+        bary.flags.writeable = False
+        _BARY_SLOT[:] = u, bary
+    return _BARY_SLOT[1]
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Radial fast path for circle-invariant data.
@@ -146,7 +160,7 @@ class RadialGrid:
 
     @cached_property
     def bary(self) -> np.ndarray:
-        return barycentric_weights(self.u)
+        return _shared_bary(self.u)
 
     @cached_property
     def D(self) -> np.ndarray:
@@ -186,6 +200,12 @@ class RadialGrid:
         """
         D = self.D
         return -self.apply_radial(D, self.u * (1.0 - self.u) * self.apply_radial(D, values))
+
+    def base_laplace_transpose(self, values: np.ndarray) -> np.ndarray:
+        """The transpose of base_laplace in the nodal dot product:
+        sum(f * base_laplace(g)) = sum(base_laplace_transpose(f) * g)."""
+        DT = self.D.T
+        return -self.apply_radial(DT, self.u * (1.0 - self.u) * self.apply_radial(DT, values))
 
     def base_inner_grad(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """(d_z f, d_z g)/A_0 = u (1-u) f_u g_u for radial real fields."""
@@ -339,6 +359,14 @@ class Full2DGrid:
         out = np.empty(values.shape)
         for i in np.ndindex(values.shape[:-2]):
             out[i] = -(D @ (uv * (D @ values[i]))) - (values[i] @ A2) / (4.0 * uv)
+        return out
+
+    def base_laplace_transpose(self, values: np.ndarray) -> np.ndarray:
+        """The transpose of base_laplace in the nodal dot product, one field at a time."""
+        D, A2, uv = self.radial.D, self._angular[1], self._uv
+        out = np.empty(values.shape)
+        for i in np.ndindex(values.shape[:-2]):
+            out[i] = -(D.T @ (uv * (D.T @ values[i]))) - (values[i] / (4.0 * uv)) @ A2.T
         return out
 
     def base_inner_grad(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:

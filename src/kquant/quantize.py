@@ -41,6 +41,7 @@ __all__ = [
     "bergman",
     "PsiField",
     "psi_potential",
+    "normalized_psi",
     "balanced_residual",
     "IterationLog",
     "sigma_balanced_iterate",
@@ -196,17 +197,24 @@ def psi_potential(lift: AutomorphismLift, pot: Potential, md: MetricData | None 
     """
     md = metric_data(pot) if md is None else md
     k = lift.degree
-    nu = sections_dim(k) / k
     if lift.is_identity:
-        return PsiField(values=np.full_like(pot.values, np.log(nu)), degree=k)
-    psi = lift.base_potential(pot.grid) + lift.compose_potential(pot)
-    psi -= pot.values
-    psi /= 2.0 * np.pi
-    mass = md.integrate(np.exp(psi), keepdims=True)
+        return PsiField(values=np.full_like(pot.values, np.log(sections_dim(k) / k)), degree=k)
+    defect = lift.base_potential(pot.grid) + lift.compose_potential(pot)
+    defect -= pot.values
+    return normalized_psi(defect, k, pot.grid, md.volume_weights)
+
+
+def normalized_psi(defect: np.ndarray, k: int, grid, volume_weights: np.ndarray) -> PsiField:
+    """psi = defect/(2 pi) plus the constant fixed by int e^psi d mu_phi = N_k/k,
+    from the defect c_sigma + phi o sigma - phi, normalized in place.  A block
+    of defects, with the volume weights of each, gets one constant per field.
+    """
+    defect /= 2.0 * np.pi
+    mass = grid.integrate(np.exp(defect), volume_weights, keepdims=True)
     if not np.all(np.isfinite(mass)) or np.any(mass <= 0.0):
         raise KQuantError("twist potential normalization integral is not finite")
-    psi += np.log(nu / mass)
-    return PsiField(values=psi, degree=k)
+    defect += np.log((sections_dim(k) / k) / mass)
+    return PsiField(values=defect, degree=k)
 
 
 def balanced_residual(

@@ -1,9 +1,9 @@
 """The path rule evaluates all its nodes as one block.
 
 Every energy agrees with the per-node loop it replaced, on both grids and
-with both twists (the closed-form classical energies with the per-node path
-rule), and every batched field operator agrees with the same operator
-applied to each field of the block in turn.
+with both twists (the closed-form energies, the identity Aubin energy among
+them, with the per-node path rule), and every batched field operator agrees
+with the same operator applied to each field of the block in turn.
 """
 
 import numpy as np
@@ -11,8 +11,10 @@ import pytest
 
 import kquant.functionals
 from kquant import (
+    NonKahlerError,
     bergman_path,
     circle_group,
+    delta_i_sigma,
     holomorphy_potential,
     i_sigma_k,
     identity_lift,
@@ -85,14 +87,67 @@ def by_node(monkeypatch, energy):
         return energy()
 
 
+def aubin_by_node(path, lift) -> float:
+    """The twisted Aubin energy along a path or list of legs, with its pointwise
+    differential evaluated one node at a time."""
+    legs = path if isinstance(path, list) else [path]
+    return sum(path_integral_by_node(leg, lambda p, vel: delta_i_sigma(p, vel, K, lift)) for leg in legs)
+
+
 @pytest.mark.parametrize("twisted", [False, True], ids=["identity", "gradient"])
 @pytest.mark.parametrize("name", ["linear", "reparam", "two-leg", "quadratic", "bergman"])
-def test_i_sigma_k_block_matches_node_loop(monkeypatch, grid, name, twisted):
+def test_i_sigma_k_block_matches_node_loop(grid, name, twisted):
+    # the leg rule applies each operator once per term and pairs e^psi with
+    # the transpose of Delta_0; the oracle forms e^psi and its Laplacian at
+    # every node
     lift = sigma_lift(V, K) if twisted else identity_lift(K)
     path = paths(grid, K)[name]
     got = i_sigma_k(None, K, lift, path=path)
-    want = by_node(monkeypatch, lambda: i_sigma_k(None, K, lift, path=path))
+    want = aubin_by_node(path, lift)
     assert abs(got - want) <= REL * abs(want)
+
+
+def cos2_wave(grid2d):
+    """A non-invariant potential: a profile's samples plus u(1-u) cos 2 theta."""
+    wave = grid2d.u[:, None] * (1.0 - grid2d.u[:, None]) * np.cos(2.0 * grid2d.theta)[None, :]
+    return potential_from_values(grid2d, sampled_twin(grid2d).values + 0.05 * wave)
+
+
+@pytest.mark.parametrize("which", ["profile", "sampled", "cos2-wave", "bergman"])
+def test_identity_aubin_closed_form_matches_node_loop(radial, grid2d, which):
+    # k(k+1) E(phi) on the default segment against the one-form integrated
+    # node by node: from 0 along the segment, or between the ends of the
+    # Bergman path
+    lift = identity_lift(K)
+    for grid in (grid2d,) if which == "cos2-wave" else (radial, grid2d):
+        prof, sampled = potentials(grid)
+        if which == "bergman":
+            path = bergman_path(prof, K)
+            got = i_sigma_k(path.phi(1.0), K) - i_sigma_k(path.phi(0.0), K)
+        else:
+            pot = cos2_wave(grid) if which == "cos2-wave" else prof if which == "profile" else sampled
+            assert which != "cos2-wave" or not pot.invariant
+            path = linear_path(pot)
+            got = i_sigma_k(pot, K, lift)
+        want = aubin_by_node(path, lift)
+        assert abs(got - want) <= REL * abs(want)
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["identity", "gradient"])
+def test_aubin_energy_rejects_a_profile_non_kahler_only_at_the_segment_end(radial, grid2d, twisted):
+    # phi = a u^2 has density 1 - 2a(3u^2 - 2u), -1e-3 at the outermost node
+    # for a = edge, while every node of the path rule (s <= 0.9986) still has a
+    # positive density: the closed form and the leg rule check the segment's end
+    lift = sigma_lift(V, K) if twisted else identity_lift(K)
+    for grid in (radial, grid2d):
+        u = grid.u[-1]
+        edge = (1.0 + 1e-3) / (2.0 * (3.0 * u * u - 2.0 * u))
+        pot = potential_from_radial_coeffs(grid, [0.0, edge])
+        dens = 1.0 - 2.0 * edge * (3.0 * grid.u**2 - 2.0 * grid.u)
+        assert np.min(dens) < 0.0 and np.min(1.0 + S_NODES[-1] * (dens - 1.0)) > 0.0
+        for path in (None, linear_path(pot), reparam_path(pot, power=2)):
+            with pytest.raises(NonKahlerError):
+                i_sigma_k(pot, K, lift, path=path)
 
 
 @pytest.mark.parametrize("which", [0, 1], ids=["profile", "sampled"])
@@ -139,6 +194,8 @@ def test_grid_operators_take_a_leading_batch_axis(grid):
     w = grid.weights * (1.0 + 0.1 * F)
     M = np.random.default_rng(5).uniform(-1, 1, (grid.resolution, grid.resolution))
     assert_stacked(grid.base_laplace(F), [grid.base_laplace(f) for f in F], laplace_floor(grid, F))
+    lap_t = [grid.base_laplace_transpose(f) for f in F]
+    assert_stacked(grid.base_laplace_transpose(F), lap_t, laplace_floor(grid, F))
     assert_stacked(grid.base_inner_grad(F, G), [grid.base_inner_grad(f, g) for f, g in zip(F, G)])
     assert_stacked(grid.apply_radial(M, F), [grid.apply_radial(M, f) for f in F])
     assert_stacked(grid.integrate(F), [grid.integrate(f) for f in F])

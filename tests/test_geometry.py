@@ -254,10 +254,15 @@ def test_twisted_linear_path_builds_pullback_once(monkeypatch, builds, bump):
 
     monkeypatch.setattr(AutomorphismLift, "compose_potential", counted)
     lift = sigma_lift(rotation_field(1.0), 8)
-    i_sigma_k(bump, 8, lift)
-    # the path's 32 nodes are composed as one block
-    assert len(composed) == 1 and composed[0].values.shape == (32,) + bump.values.shape
+    sampled = bump.with_values(bump.values.copy())
+    i_sigma_k(sampled, 8, lift)
+    # the path's one term is composed once, not its 32 nodes
+    assert len(composed) == 1 and composed[0] is sampled
     assert len(builds) == 1
+    # an exact profile composes as a polynomial, with no interpolation
+    composed.clear()
+    i_sigma_k(bump, 8, lift)
+    assert composed == [] and len(builds) == 1
 
 
 def test_twisted_iteration_builds_pullback_once_per_lift(builds, bump):

@@ -51,6 +51,18 @@ def test_base_laplace_and_pairing_of_u_squared(grid):
     assert np.max(np.abs(laps[0] - laps[1])) <= 1e-7
 
 
+@pytest.mark.parametrize("shape", [(24,), (12, 8)], ids=["radial", "full2d"])
+def test_base_laplace_transpose_is_the_matrix_transpose(shape):
+    # column j of each operator is its value on the j-th unit field, so the
+    # transpose's table is the Laplacian's, transposed
+    g = build_grid("radial" if len(shape) == 1 else "full2d", *shape)
+    n = int(np.prod(shape))
+    units = np.eye(n).reshape((n,) + shape)
+    lap = g.base_laplace(units).reshape(n, n).T
+    lap_t = g.base_laplace_transpose(units).reshape(n, n).T
+    assert np.max(np.abs(lap_t - lap.T)) <= 1e-13 * np.max(np.abs(lap))
+
+
 @pytest.mark.parametrize("k", [1, 6, 12])
 def test_round_metric_section_densities_sum_to_dimension(grid, k):
     densities = []

@@ -65,6 +65,19 @@ def test_gauss_legendre_rule_is_cached_and_read_only():
         w *= 2.0
 
 
+def test_radial_grids_share_read_only_barycentric_weights():
+    # grids on one node array share their barycentric weights, bit-identical
+    # to a fresh build; the differentiation matrix stays each grid's own
+    a, b = build_grid("radial", 96), build_grid("full2d", 96, 32).radial
+    assert a.bary is b.bary and not a.bary.flags.writeable
+    fresh = barycentric_weights(a.u)
+    assert np.array_equal(a.bary, fresh) and np.array_equal(a.D, diff_matrix(a.u, fresh))
+    # one slot: another node set takes it, and the first set builds again, equal
+    assert build_grid("radial", 64).bary.shape == (64,)
+    again = build_grid("radial", 96).bary
+    assert again is not a.bary and np.array_equal(again, a.bary)
+
+
 def test_diff_matrix_on_polynomials():
     u, _ = gauss_legendre_01(48)
     D = diff_matrix(u)

@@ -28,6 +28,7 @@ from kquant import (
     rotation_field,
     run_experiment,
 )
+import kquant
 from kquant.cli import main as cli_main
 from kquant.reporting import CSV_HEADER
 
@@ -231,6 +232,12 @@ def test_environment_echo():
     assert env["volume"] == 1.0 and env["mean_scalar"] == 2.0
     assert env["resolution"] == 128
     assert env["twist_rate_constant"] == pytest.approx(-math.pi / 2.0)
+    # what ran: the package, numpy and the BLAS numpy was built against
+    assert env["kquant"] == kquant.__version__
+    assert env["numpy"] == np.__version__
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env["blas"] == f"{blas['name']} {blas['version']}"
+    assert json.loads(rep.to_json())["environment"]["blas"] == env["blas"]
 
 
 def test_exact_series_flagged():

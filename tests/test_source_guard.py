@@ -1,8 +1,8 @@
 """Source guards over src/kquant: only grids knows the kind of grid it holds,
 no function imports from another kquant module, no module reads a private
-attribute that another module defines, functionals forms the twisted weight,
-pairs with (k + Delta_phi) and runs the path rule in one place each, as one
-block, and every definition
+attribute that another module defines, functionals forms the twisted weight
+and pairs with (k + Delta_phi) in the pointwise differentials and in the leg
+rule only, runs every path rule as one block, and every definition
 has a reader in src/ or a stated reason to stay."""
 
 import ast
@@ -166,8 +166,8 @@ def owners(tree: ast.Module, pred) -> set[str]:
 def test_functionals_forms_weight_and_path_rule_once():
     tree = ast.parse((SRC / "functionals.py").read_text())
 
-    def calls_psi(node):
-        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "psi_potential"
+    def calls(name):
+        return lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
 
     def reads_nodes(node):
         return isinstance(node, ast.Name) and node.id == "S_NODES" and isinstance(node.ctx, ast.Load)
@@ -176,12 +176,20 @@ def test_functionals_forms_weight_and_path_rule_once():
         return isinstance(node, (ast.For, ast.comprehension)) and any(map(reads_nodes, ast.walk(node.iter)))
 
     def calls_laplacian(node):
-        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("base_laplace", "laplace")
+        return isinstance(node, ast.Call) and (
+            getattr(node.func, "attr", None) in ("base_laplace", "base_laplace_transpose", "laplace")
+            or getattr(node.func, "id", None) == "density_field"
+        )
 
-    assert owners(tree, calls_psi) == {"delta_i_sigma", "fk_prime"}
-    assert owners(tree, calls_laplacian) == {"_pairing"}
+    # the pointwise differentials form e^psi of one potential (or block) and
+    # pair with (k + Delta_phi) through _pairing; the leg rule of i_sigma_k
+    # forms psi of its node block from per-term pullbacks, normalized by
+    # quantize, and applies Delta_0 and its transpose once per term
+    assert owners(tree, calls("psi_potential")) == {"delta_i_sigma", "fk_prime"}
+    assert owners(tree, calls("normalized_psi")) == {"_leg_integral"}
+    assert owners(tree, calls_laplacian) == {"_pairing", "_leg_integral"}
     assert owners(tree, loops_over_nodes) == set()
-    assert owners(tree, reads_nodes) == {"_path_integral"}
+    assert owners(tree, reads_nodes) == {"_path_integral", "_leg_integral"}
 
 
 def unread_definitions(sources: dict[str, str]) -> set[str]:
