@@ -77,8 +77,8 @@ from .quantize import (
     bergman,
     fs,
     hilb,
-    normalized_psi,
     psi_potential,
+    psi_scale,
 )
 
 __all__ = [
@@ -273,10 +273,11 @@ def _leg_integral(leg: PathInPotentials, k: int, lift: AutomorphismLift) -> floa
     The one-form at a node is k sum_i c_i'(s) [k int e^psi P_i d mu_phi +
     int P_i Delta_0 e^psi d mu_0].  The second pairing is e^psi dotted with
     the transpose of Delta_0 applied to the weighted P_i: the node-by-node
-    sum, reordered.  At the identity e^psi = (k+1)/k and it vanishes.  The
-    node block holds the density, turned into volume weights, and psi, turned
-    into e^psi and then its product with them; a third field while psi is
-    normalized.
+    sum, reordered.  At the identity e^psi = (k+1)/k and it vanishes.  With
+    a twist, both pairings take e^psi before its normalization, exponentiated
+    once, and the normalizing scale of each node multiplies them after.  The
+    node block holds the density, turned into volume weights, and the defect,
+    turned into its exponential and then its product with them.
     """
     pots = [p for p, _ in leg.terms]
     grid, n, values = pots[0].grid, len(S_NODES), np.stack([p.values for p in pots])
@@ -289,18 +290,19 @@ def _leg_integral(leg: PathInPotentials, k: int, lift: AutomorphismLift) -> floa
     kahler_density(vw)
     vw *= grid.weights
     if lift.is_identity:
-        weight, lap_pairs = vw, 0.0
+        weight, lap_pairs, scale = vw, 0.0, 1.0
         weight *= (k + 1) / k
     else:
         defect = np.tensordot(c.T, np.stack([lift.pullback_defect(p) for p in pots]), axes=1)
         defect += lift.base_potential(grid)
-        psi = normalized_psi(defect, k, grid, vw).values
-        weight = np.exp(psi, out=psi)
+        defect /= 2.0 * np.pi
+        weight = np.exp(defect, out=defect)
+        scale = psi_scale(weight, k, grid, vw).reshape(n)
         lap_terms = grid.base_laplace_transpose(values * grid.weights)
         lap_pairs = weight.reshape(n, -1) @ lap_terms.reshape(len(pots), -1).T
         weight *= vw
     mass_pairs = weight.reshape(n, -1) @ values.reshape(len(pots), -1).T
-    return float(S_WEIGHTS @ (k * np.sum(rate.T * (k * mass_pairs + lap_pairs), axis=1)))
+    return float(S_WEIGHTS @ (k * scale * np.sum(rate.T * (k * mass_pairs + lap_pairs), axis=1)))
 
 
 def i_sigma_k(

@@ -186,6 +186,11 @@ def load_potential(path, grid=None) -> Potential:
 # Metric data
 
 
+def _profile_coeffs(pot: Potential) -> np.ndarray:
+    """The profile's coefficients from the constant term up, with a zero constant."""
+    return np.concatenate([np.zeros((1,) + pot.profile.shape[1:]), pot.profile])
+
+
 def _exact_fields(pot: Potential, *which: int) -> list[np.ndarray]:
     """The fields numbered ``which`` of g1, density, density', W, W' on the radial nodes.
 
@@ -206,8 +211,7 @@ def _exact_fields(pot: Potential, *which: int) -> list[np.ndarray]:
         out[2:] -= c
         return out
 
-    coeffs = np.concatenate([np.zeros((1,) + pot.profile.shape[1:]), pot.profile])
-    g1 = times_uu(der(coeffs))
+    g1 = times_uu(der(_profile_coeffs(pot)))
     dens_c = der(g1)
     dens_c[0] += 1.0
     ddens_c = der(dens_c)
@@ -349,9 +353,11 @@ class AutomorphismLift:
     is refused.  The section action on the monomial basis is diag(scale^j),
     so the product of two scales acts as the product of their actions.
     ``base_potential`` is the closed-form c with sigma^* omega_0 = omega_0
-    + (i/2pi) ddbar c.  ``compose_potential`` keeps the interpolation matrix
-    of the last grid it composed on, so a path of potentials on one grid
-    builds it once.
+    + (i/2pi) ddbar c.  A potential with an exact profile is pulled back
+    through its polynomial at the pulled-back radii; a sampled one is
+    interpolated there, and ``compose_potential`` keeps the interpolation
+    matrix of the last grid it composed on, so a path of sampled potentials
+    on one grid builds it once.
     """
 
     scale: float
@@ -386,9 +392,12 @@ class AutomorphismLift:
         return [None, None]
 
     def compose_potential(self, pot: Potential) -> np.ndarray:
-        """Values of phi(sigma(z)) at the grid nodes, interpolated at |sigma(z)|."""
+        """Values of phi(sigma(z)) at the grid nodes: phi plus the pullback defect
+        of an exact profile, else interpolated at |sigma(z)|."""
         if self.is_identity:
             return pot.values
+        if pot.profile is not None:
+            return pot.values + self.pullback_defect(pot)
         grid = pot.grid
         slot = self._pullback
         if slot[0] is not grid:
@@ -398,10 +407,11 @@ class AutomorphismLift:
 
     def pullback_defect(self, pot: Potential) -> np.ndarray:
         """phi o sigma - phi at the nodes: an exact profile's polynomial at the
-        pulled-back u, other potentials interpolated by compose_potential."""
+        pulled-back u less its value at u, other potentials interpolated by
+        compose_potential."""
         if pot.profile is None:
             return self.compose_potential(pot) - pot.values
-        rg, coeffs = pot.grid.radial, np.r_[0.0, pot.profile]
+        rg, coeffs = pot.grid.radial, _profile_coeffs(pot)
         return pot.grid.broadcast(P.polyval(self.pulled_u(rg), coeffs) - P.polyval(rg.u, coeffs))
 
     def pullback_potential(self, pot: Potential) -> Potential:

@@ -87,16 +87,21 @@ def barycentric_weights(x: np.ndarray) -> np.ndarray:
 
 
 def diff_matrix(x: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-    """Spectral differentiation matrix on arbitrary nodes x."""
+    """Spectral differentiation matrix on arbitrary nodes x.
+
+    Built in blocks of at most 64 rows, so the temporaries stay a block's size.
+    """
     if w is None:
         w = barycentric_weights(x)
     n = len(x)
-    D = np.zeros((n, n))
-    for i in range(n):
-        d = x[i] - x
-        d[i] = np.inf
-        D[i, :] = (w / w[i]) / d
-        D[i, i] = -D[i, :].sum()
+    D = np.empty((n, n))
+    for start in range(0, n, 64):
+        i = np.arange(start, min(start + 64, n))
+        d = np.subtract.outer(x[i], x)
+        d[i - start, i] = np.inf
+        block = D[start : start + 64]
+        np.divide(w / w[i, None], d, out=block)
+        block[i - start, i] = -block.sum(axis=1)
     return D
 
 
@@ -208,8 +213,11 @@ class RadialGrid:
         return -self.apply_radial(DT, self.u * (1.0 - self.u) * self.apply_radial(DT, values))
 
     def base_inner_grad(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """(d_z f, d_z g)/A_0 = u (1-u) f_u g_u for radial real fields."""
-        return self.u * (1.0 - self.u) * self.apply_radial(self.D, f) * self.apply_radial(self.D, g)
+        """(d_z f, d_z g)/A_0 = u (1-u) f_u g_u for radial real fields; f_u is
+        formed once when g is f."""
+        df = self.apply_radial(self.D, f)
+        dg = df if g is f else self.apply_radial(self.D, g)
+        return self.u * (1.0 - self.u) * df * dg
 
     def log_section_norms(self, k: int) -> np.ndarray:
         """log |s_j|^2 = j log u + (k-j) log(1-u) at the nodes, shape (n_u, k+1)."""
@@ -370,9 +378,12 @@ class Full2DGrid:
         return out
 
     def base_inner_grad(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """(d_z f, d_z g)/A_0 = u (1-u) f_u g_u + f_theta g_theta / (4 u (1-u))."""
+        """(d_z f, d_z g)/A_0 = u (1-u) f_u g_u + f_theta g_theta / (4 u (1-u));
+        the derivatives of f are formed once when g is f."""
         D, A = self.radial.D, self._angular[0]
-        return self._uv * (D @ f) * (D @ g) + (f @ A) * (g @ A) / (4.0 * self._uv)
+        df, af = D @ f, f @ A
+        dg, ag = (df, af) if g is f else (D @ g, g @ A)
+        return self._uv * df * dg + af * ag / (4.0 * self._uv)
 
     def _pair_table(self, k: int) -> np.ndarray:
         """q[u, p] = |s_a||s_b| for a + b = p: u^{p/2} (1-u)^{k-p/2}, shape (n_u, 2k+1).

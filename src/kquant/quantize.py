@@ -41,7 +41,7 @@ __all__ = [
     "bergman",
     "PsiField",
     "psi_potential",
-    "normalized_psi",
+    "psi_scale",
     "balanced_residual",
     "IterationLog",
     "sigma_balanced_iterate",
@@ -192,29 +192,32 @@ def psi_potential(lift: AutomorphismLift, pot: Potential, md: MetricData | None 
 
     Constructed from the exact pullback potential: 2 pi psi = c_sigma +
     phi o sigma - phi up to the constant fixed by int e^psi d mu_phi =
-    N_k/k, one constant per potential of a block.  For the identity the
-    field is the constant log((k+1)/k).
+    N_k/k, one constant per potential of a block.  phi o sigma - phi is the
+    lift's pullback defect, exact on a profile.  For the identity the field
+    is the constant log((k+1)/k).
     """
     md = metric_data(pot) if md is None else md
     k = lift.degree
     if lift.is_identity:
         return PsiField(values=np.full_like(pot.values, np.log(sections_dim(k) / k)), degree=k)
-    defect = lift.base_potential(pot.grid) + lift.compose_potential(pot)
-    defect -= pot.values
-    return normalized_psi(defect, k, pot.grid, md.volume_weights)
-
-
-def normalized_psi(defect: np.ndarray, k: int, grid, volume_weights: np.ndarray) -> PsiField:
-    """psi = defect/(2 pi) plus the constant fixed by int e^psi d mu_phi = N_k/k,
-    from the defect c_sigma + phi o sigma - phi, normalized in place.  A block
-    of defects, with the volume weights of each, gets one constant per field.
-    """
+    defect = lift.pullback_defect(pot)
+    defect += lift.base_potential(pot.grid)
     defect /= 2.0 * np.pi
-    mass = grid.integrate(np.exp(defect), volume_weights, keepdims=True)
+    defect += np.log(psi_scale(np.exp(defect), k, pot.grid, md.volume_weights))
+    return PsiField(values=defect, degree=k)
+
+
+def psi_scale(exp_defect: np.ndarray, k: int, grid, volume_weights: np.ndarray) -> np.ndarray:
+    """N_k/k over int exp_defect d mu_phi, so that e^psi = scale * exp_defect.
+
+    exp_defect is e^{(c_sigma + phi o sigma - phi)/(2 pi)}.  A block of
+    fields, with the volume weights of each, gets one scale per field, with
+    unit field axes.  A mass that is not finite and positive is refused.
+    """
+    mass = grid.integrate(exp_defect, volume_weights, keepdims=True)
     if not np.all(np.isfinite(mass)) or np.any(mass <= 0.0):
         raise KQuantError("twist potential normalization integral is not finite")
-    defect += np.log((sections_dim(k) / k) / mass)
-    return PsiField(values=defect, degree=k)
+    return (sections_dim(k) / k) / mass
 
 
 def balanced_residual(

@@ -223,3 +223,14 @@ def test_metric_layers_take_a_leading_batch_axis(grid, twisted):
             assert_stacked(holomorphy_potential(V, pots, md), [holomorphy_potential(V, p, m) for p, m in zip(singles, mds)])
         assert_stacked(lift.compose_potential(pots), [lift.compose_potential(p) for p in singles])
         assert_stacked(psi_potential(lift, pots).values, [psi_potential(lift, p).values for p in singles])
+
+
+def test_pullback_defect_of_a_block_stacks_its_fields(grid):
+    # a block with an exact profile carries one profile column per field
+    lift = sigma_lift(V, K)
+    for pot in potentials(grid):
+        path = linear_path(pot)
+        pots = path.phi(np.array([0.3, 0.7]))
+        singles = [path.phi(s) for s in (0.3, 0.7)]
+        assert (pots.profile is None) == (pot.profile is None)
+        assert_stacked(lift.pullback_defect(pots), [lift.pullback_defect(p) for p in singles])

@@ -4,6 +4,7 @@ import pytest
 from kquant import (
     SBAR,
     AutomorphismLift,
+    ExperimentConfig,
     KQuantError,
     NonKahlerError,
     VectorFieldSpec,
@@ -18,6 +19,7 @@ from kquant import (
     potential_from_values,
     quadratic_path,
     rotation_field,
+    run_experiment,
     sections_dim,
     sigma_balanced_iterate,
     sigma_lift,
@@ -220,9 +222,14 @@ def test_pullback_potential_matches_base_closed_form(radial, flat):
     assert np.max(np.abs(vals - exact)) <= 1e-10
 
 
+def sampled(pot):
+    """The potential's samples without its exact profile."""
+    return potential_from_values(pot.grid, pot.values.copy())
+
+
 def test_pullback_composition_accuracy(radial, bump):
     lift = AutomorphismLift(scale=np.exp(0.05), degree=8)
-    composed = lift.compose_potential(bump)
+    composed = lift.compose_potential(sampled(bump))
     u_t = lift.pulled_u(radial)
     exact = 0.05 * u_t - 0.07 * u_t**2
     assert np.max(np.abs(composed - exact)) <= 1e-10
@@ -265,8 +272,16 @@ def test_twisted_linear_path_builds_pullback_once(monkeypatch, builds, bump):
     assert composed == [] and len(builds) == 1
 
 
+def test_psi_expansion_builds_no_interpolation(builds):
+    # its potential has an exact profile, which every psi_k pulls back exactly
+    rep = run_experiment(ExperimentConfig("psi-expansion"))
+    assert rep.passed
+    assert builds == []
+
+
 def test_twisted_iteration_builds_pullback_once_per_lift(builds, bump):
-    # sigma composes for psi at each of the four steps, sigma^-1 for each pullback
+    # sigma composes for psi at the three sampled steps (the first step's
+    # potential has an exact profile), sigma^-1 for each pullback
     lift = sigma_lift(rotation_field(1.0), 8)
     _, log = sigma_balanced_iterate(bump, 8, lift=lift, max_iter=3, tol=0.0)
     assert len(log.residuals) == 4
@@ -275,8 +290,8 @@ def test_twisted_iteration_builds_pullback_once_per_lift(builds, bump):
 
 def test_lift_builds_again_on_another_grid(builds, radial, radial_small):
     lift = AutomorphismLift(scale=1.1, degree=4)
-    on_radial = potential_from_radial_coeffs(radial, [0.05])
-    on_small = potential_from_radial_coeffs(radial_small, [0.05])
+    on_radial = sampled(potential_from_radial_coeffs(radial, [0.05]))
+    on_small = sampled(potential_from_radial_coeffs(radial_small, [0.05]))
     lift.compose_potential(on_radial)
     lift.compose_potential(on_radial)
     assert len(builds) == 1
@@ -289,11 +304,26 @@ def test_lift_builds_again_on_another_grid(builds, radial, radial_small):
 @pytest.mark.parametrize("grid_name", ["radial", "grid2d"])
 def test_cached_pullback_equals_fresh_build(request, grid_name):
     grid = request.getfixturevalue(grid_name)
-    pot = potential_from_radial_coeffs(grid, [0.05, -0.07])
+    pot = sampled(potential_from_radial_coeffs(grid, [0.05, -0.07]))
     lift = AutomorphismLift(scale=1.3, degree=4)
     fresh = interp_matrix(grid.radial.u, grid.radial.bary, lift.pulled_u(grid)) @ pot.values
     assert np.array_equal(lift.compose_potential(pot), fresh)
     assert np.array_equal(lift.compose_potential(pot), fresh)
+
+
+@pytest.mark.parametrize("grid_name", ["radial", "grid2d"])
+def test_profile_composes_as_its_polynomial(builds, request, grid_name):
+    # an exact profile is pulled back through its polynomial, with no interpolation
+    grid = request.getfixturevalue(grid_name)
+    coeffs = [0.05, -0.07, 0.02]
+    pot = potential_from_radial_coeffs(grid, coeffs)
+    lift = AutomorphismLift(scale=1.3, degree=4)
+    u_t = lift.pulled_u(grid.radial)
+    exact = grid.broadcast(sum(c * u_t ** (m + 1) for m, c in enumerate(coeffs)))
+    composed = lift.compose_potential(pot)
+    assert composed.shape == grid.shape
+    assert np.max(np.abs(composed - exact)) <= 1e-14
+    assert builds == []
 
 
 @pytest.mark.parametrize("grid_name", ["radial", "grid2d"])

@@ -127,6 +127,32 @@ def test_interp_matrix_matches_row_loop(n):
     assert np.array_equal(interp_matrix(u, w, targets), loop_interp_matrix(u, w, targets))
 
 
+def loop_diff_matrix(x, w):
+    """Reference differentiation matrix, built one row at a time."""
+    D = np.zeros((len(x), len(x)))
+    for i in range(len(x)):
+        d = x[i] - x
+        d[i] = np.inf
+        D[i, :] = (w / w[i]) / d
+        D[i, i] = -D[i, :].sum()
+    return D
+
+
+@pytest.mark.parametrize("n", [16, 64, 96, 512])
+def test_diff_matrix_matches_row_loop(n):
+    u, _ = gauss_legendre_01(n)
+    w = barycentric_weights(u)
+    assert np.array_equal(diff_matrix(u, w), loop_diff_matrix(u, w))
+
+
+@pytest.mark.parametrize("mode", ["radial", "full2d"])
+def test_gradient_norm_pairs_one_derivative_with_itself(mode):
+    g = build_grid(mode, 64, 16)
+    rng = np.random.default_rng(3)
+    f = rng.uniform(-1.0, 1.0, (2,) + g.shape)
+    assert np.array_equal(g.base_inner_grad(f, f), g.base_inner_grad(f, f.copy()))
+
+
 def test_interp_hits_nodes_exactly():
     u, _ = gauss_legendre_01(32)
     w = barycentric_weights(u)

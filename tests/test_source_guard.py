@@ -2,8 +2,9 @@
 no function imports from another kquant module, no module reads a private
 attribute that another module defines, functionals forms the twisted weight
 and pairs with (k + Delta_phi) in the pointwise differentials and in the leg
-rule only, runs every path rule as one block, and every definition
-has a reader in src/ or a stated reason to stay."""
+rule only, runs every path rule as one block, profiles and samples are
+pulled back by one route with psi normalized in one place, and every
+definition has a reader in src/ or a stated reason to stay."""
 
 import ast
 from pathlib import Path
@@ -183,13 +184,42 @@ def test_functionals_forms_weight_and_path_rule_once():
 
     # the pointwise differentials form e^psi of one potential (or block) and
     # pair with (k + Delta_phi) through _pairing; the leg rule of i_sigma_k
-    # forms psi of its node block from per-term pullbacks, normalized by
-    # quantize, and applies Delta_0 and its transpose once per term
+    # forms e^psi of its node block from per-term pullbacks, scaled by the
+    # normalization quantize owns, and applies Delta_0 and its transpose once
+    # per term
     assert owners(tree, calls("psi_potential")) == {"delta_i_sigma", "fk_prime"}
-    assert owners(tree, calls("normalized_psi")) == {"_leg_integral"}
+    assert owners(tree, calls("psi_scale")) == {"_leg_integral"}
     assert owners(tree, calls_laplacian) == {"_pairing", "_leg_integral"}
     assert owners(tree, loops_over_nodes) == set()
     assert owners(tree, reads_nodes) == {"_path_integral", "_leg_integral"}
+
+
+def test_one_pullback_route_and_one_exponential_per_leg():
+    trees = {name: ast.parse((SRC / name).read_text()) for name in ("geometry.py", "quantize.py", "functionals.py")}
+
+    def calls_attr(name):
+        return lambda node: isinstance(node, ast.Call) and getattr(node.func, "attr", None) == name
+
+    def calls_name(name):
+        return lambda node: isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+
+    def refuses_mass(node):
+        return isinstance(node, ast.Raise) and "normalization" in ast.unparse(node)
+
+    # only the lift interpolates, and each twisted route takes its defect
+    # from the lift's pullback_defect: psi_potential for one potential (or
+    # block), the leg rule per term
+    assert owners(trees["geometry.py"], calls_name("interp_matrix")) == {"AutomorphismLift"}
+    assert owners(trees["quantize.py"], calls_attr("pullback_defect")) == {"psi_potential"}
+    assert owners(trees["functionals.py"], calls_attr("pullback_defect")) == {"_leg_integral"}
+    assert owners(trees["functionals.py"], calls_attr("compose_potential")) == set()
+    # psi's normalization and its finite-mass check live in psi_scale, which
+    # psi_potential and the leg rule share
+    assert owners(trees["quantize.py"], calls_name("psi_scale")) == {"psi_potential"}
+    assert owners(trees["quantize.py"], refuses_mass) == {"psi_scale"}
+    # the leg rule exponentiates its node block once
+    leg = next(top for top in trees["functionals.py"].body if getattr(top, "name", None) == "_leg_integral")
+    assert sum(map(calls_attr("exp"), ast.walk(leg))) == 1
 
 
 def unread_definitions(sources: dict[str, str]) -> set[str]:
