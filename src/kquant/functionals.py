@@ -38,6 +38,10 @@ transpose: int eta Delta_0 e^psi d mu_0 is the dot product of e^psi with the
 transpose applied to the weighted eta, the same sum reordered (the discrete
 Laplacian is not exactly self-adjoint, so its transpose, not itself, keeps
 the value).  Per node only e^psi and dot products with the term fields remain.
+When every P_i is circle-invariant, so is every field along the path (density,
+pullback defect, e^psi), and the rule runs on the radial factor of the grid:
+the 2D weights sum each radius over the angle, so on the full 2D grid the
+integrals are the same on n_u nodes instead of n_u x n_theta.
 
 delta I, delta L and the slope F_k' pair a field with k + Delta_phi, always on
 the base measure: int f (k + Delta_phi) g d mu_phi = k int f g d mu_phi +
@@ -68,6 +72,7 @@ from .geometry import (
     kahler_density,
     lift_at_degree,
     metric_data,
+    radial_twin,
     zero_potential,
 )
 from .grids import gauss_legendre_01
@@ -176,11 +181,9 @@ def two_leg_path(mid: Potential, end: Potential) -> list[PathInPotentials]:
     return [segment_path(zero_potential(mid.grid), mid), segment_path(mid, end)]
 
 
-def quadratic_path(base: Potential, vel: np.ndarray, acc: np.ndarray) -> PathInPotentials:
+def quadratic_path(base: Potential, vel: Potential, acc: Potential) -> PathInPotentials:
     """phi_s = base + s vel + s^2 acc; exercises both derivative slots."""
-    return PathInPotentials(
-        ((base, (1,)), (base.with_values(vel), (0, 1)), (base.with_values(acc), (0, 0, 1)))
-    )
+    return PathInPotentials(((base, (1,)), (vel, (0, 1)), (acc, (0, 0, 1))))
 
 
 def bergman_path(pot: Potential, k: int) -> PathInPotentials:
@@ -277,9 +280,13 @@ def _leg_integral(leg: PathInPotentials, k: int, lift: AutomorphismLift) -> floa
     a twist, both pairings take e^psi before its normalization, exponentiated
     once, and the normalizing scale of each node multiplies them after.  The
     node block holds the density, turned into volume weights, and the defect,
-    turned into its exponential and then its product with them.
+    turned into its exponential and then its product with them.  A leg of
+    circle-invariant terms has invariant fields only, and runs on the grid's
+    radial factor.
     """
     pots = [p for p, _ in leg.terms]
+    if all(p.invariant for p in pots):
+        pots = [radial_twin(p) for p in pots]
     grid, n, values = pots[0].grid, len(S_NODES), np.stack([p.values for p in pots])
     c, rate = leg.coefficients(S_NODES), leg.coefficients(S_NODES, 1)
     laplace = 1.0 - np.stack([density_field(p) for p in pots])

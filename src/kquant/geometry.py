@@ -42,6 +42,7 @@ __all__ = [
     "zero_potential",
     "potential_from_radial_coeffs",
     "potential_from_values",
+    "radial_twin",
     "load_potential",
     "MetricData",
     "density_field",
@@ -137,6 +138,14 @@ def potential_from_radial_coeffs(grid, coeffs) -> Potential:
 def potential_from_values(grid, values, invariant: bool | None = None) -> Potential:
     values = np.asarray(values, dtype=float)
     return Potential(grid, values, grid.is_invariant(values) if invariant is None else invariant)
+
+
+def radial_twin(pot: Potential) -> Potential:
+    """An invariant potential on its grid's radial factor, profile kept; ``pot`` itself on a radial grid."""
+    if not pot.invariant:
+        raise KQuantError("only a circle-invariant potential lives on the radial factor")
+    rg = pot.grid.radial
+    return pot if rg is pot.grid else Potential(rg, pot.grid.radial_part(pot.values), profile=pot.profile)
 
 
 def load_potential(path, grid=None) -> Potential:
@@ -279,11 +288,13 @@ def density_field(pot: Potential) -> np.ndarray:
 
 
 def kahler_density(density: np.ndarray) -> np.ndarray:
-    """The density, refused unless positive at every node (A_phi > 0)."""
-    if np.min(density) <= 0.0:
-        raise NonKahlerError(
-            f"potential not Kahler: min density {np.min(density):.3e} <= 0"
-        )
+    """The density, refused unless positive at every node (A_phi > 0); the
+    refusal names the minimum and its index in the field (or block)."""
+    worst = np.argmin(density)
+    low = density.flat[worst]
+    if low <= 0.0:
+        node = tuple(int(i) for i in np.unravel_index(worst, density.shape))
+        raise NonKahlerError(f"potential not Kahler: min density {low:.3e} <= 0 at index {node}")
     return density
 
 
@@ -356,8 +367,9 @@ class AutomorphismLift:
     + (i/2pi) ddbar c.  A potential with an exact profile is pulled back
     through its polynomial at the pulled-back radii; a sampled one is
     interpolated there, and ``compose_potential`` keeps the interpolation
-    matrix of the last grid it composed on, so a path of sampled potentials
-    on one grid builds it once.
+    matrix of the last radial factor it composed on, so a path of sampled
+    potentials on one grid, or on a 2D grid and its radial factor, builds it
+    once.
     """
 
     scale: float
@@ -387,8 +399,9 @@ class AutomorphismLift:
 
     @cached_property
     def _pullback(self) -> list:
-        """[grid, matrix]: the interpolation onto the pulled-back radii of the
-        last grid composed on.  One slot, so a lift holds one matrix at most."""
+        """[radial grid, matrix]: the interpolation onto the pulled-back radii of
+        the last radial factor composed on.  One slot, so a lift holds one
+        matrix at most."""
         return [None, None]
 
     def compose_potential(self, pot: Potential) -> np.ndarray:
@@ -398,11 +411,10 @@ class AutomorphismLift:
             return pot.values
         if pot.profile is not None:
             return pot.values + self.pullback_defect(pot)
-        grid = pot.grid
+        grid, rg = pot.grid, pot.grid.radial
         slot = self._pullback
-        if slot[0] is not grid:
-            rg = grid.radial
-            slot[:] = grid, interp_matrix(rg.u, rg.bary, self.pulled_u(rg))
+        if slot[0] is not rg:
+            slot[:] = rg, interp_matrix(rg.u, rg.bary, self.pulled_u(rg))
         return grid.apply_radial(slot[1], pot.values)
 
     def pullback_defect(self, pot: Potential) -> np.ndarray:

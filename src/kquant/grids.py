@@ -74,15 +74,19 @@ def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def barycentric_weights(x: np.ndarray) -> np.ndarray:
-    """Barycentric weights of the nodes x, capacity-scaled for stability."""
+    """Barycentric weights of the nodes x, capacity-scaled for stability.
+
+    Built in blocks of at most 64 rows, so the temporaries stay a block's size.
+    """
     n = len(x)
     # 4/(b-a) capacity scaling keeps the pairwise products in double range.
     scale = 4.0 / (x.max() - x.min())
-    w = np.ones(n)
-    for i in range(n):
-        d = scale * (x[i] - x)
-        d[i] = 1.0
-        w[i] = 1.0 / np.prod(d)
+    w = np.empty(n)
+    for start in range(0, n, 64):
+        i = np.arange(start, min(start + 64, n))
+        d = scale * np.subtract.outer(x[i], x)
+        d[i - start, i] = 1.0
+        w[i] = 1.0 / np.prod(d, axis=1)
     return w / np.abs(w).max()
 
 

@@ -289,8 +289,8 @@ def _exp_hessian(ctx: _Ctx) -> Report:
         rng = np.random.default_rng([cfg.seed, k, int(twisted)])
         rels = []
         for _ in range(5):
-            vel = ctx.seeded_potential(rng, 0.04).values
-            acc = ctx.seeded_potential(rng, 0.03).values
+            vel = ctx.seeded_potential(rng, 0.04)
+            acc = ctx.seeded_potential(rng, 0.03)
             path = F.quadratic_path(ctx.pot, vel, acc)
             s0, h = 0.5, 0.02
             formula = F.i_sigma_hessian(path, s0, k, lift)

@@ -11,10 +11,13 @@ import pytest
 
 import kquant.functionals
 from kquant import (
+    Full2DGrid,
     NonKahlerError,
     bergman_path,
     circle_group,
     delta_i_sigma,
+    fs,
+    hilb,
     holomorphy_potential,
     i_sigma_k,
     identity_lift,
@@ -29,6 +32,7 @@ from kquant import (
     quadratic_path,
     reparam_path,
     rotation_field,
+    segment_path,
     sigma_lift,
     two_leg_path,
 )
@@ -75,7 +79,7 @@ def paths(grid, k):
         "linear": linear_path(sampled),
         "reparam": reparam_path(prof, power=3),
         "two-leg": two_leg_path(mid, prof),
-        "quadratic": quadratic_path(sampled, vel, acc),
+        "quadratic": quadratic_path(sampled, sampled.with_values(vel), sampled.with_values(acc)),
         "bergman": bergman_path(prof, k),
     }
 
@@ -103,6 +107,46 @@ def test_i_sigma_k_block_matches_node_loop(grid, name, twisted):
     lift = sigma_lift(V, K) if twisted else identity_lift(K)
     path = paths(grid, K)[name]
     got = i_sigma_k(None, K, lift, path=path)
+    want = aubin_by_node(path, lift)
+    assert abs(got - want) <= REL * abs(want)
+
+
+def laplacians_2d(monkeypatch) -> list[str]:
+    """Names of the 2D grid's Laplacians, once per call."""
+    calls = []
+    for name in ("base_laplace", "base_laplace_transpose"):
+        real = getattr(Full2DGrid, name)
+        monkeypatch.setattr(Full2DGrid, name, lambda self, v, real=real, name=name: calls.append(name) or real(self, v))
+    return calls
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["identity", "gradient"])
+def test_invariant_leg_runs_on_the_radial_factor(monkeypatch, grid2d, twisted):
+    # every field of a leg of invariant terms is constant in theta, so the
+    # rule runs on the 96 radial nodes, with no 2D Laplacian, and agrees with
+    # the 2D one-form evaluated node by node
+    lift = sigma_lift(V, K) if twisted else identity_lift(K)
+    prof = potential_from_radial_coeffs(grid2d, [0.05, -0.07])
+    projected = fs(hilb(prof, K), grid2d)
+    assert projected.invariant and projected.profile is None
+    for path in (linear_path(prof), linear_path(projected), two_leg_path(prof, projected)):
+        with monkeypatch.context() as m:
+            calls = laplacians_2d(m)
+            got = i_sigma_k(None, K, lift, path=path)
+        assert calls == []
+        want = aubin_by_node(path, lift)
+        assert abs(got - want) <= REL * abs(want)
+
+
+def test_leg_with_a_non_invariant_term_takes_the_2d_rule(monkeypatch, grid2d):
+    prof, waved = potentials(grid2d)
+    assert not waved.invariant
+    lift = sigma_lift(V, K)
+    path = segment_path(prof, waved)
+    with monkeypatch.context() as m:
+        calls = laplacians_2d(m)
+        got = i_sigma_k(None, K, lift, path=path)
+    assert calls == ["base_laplace", "base_laplace_transpose"]
     want = aubin_by_node(path, lift)
     assert abs(got - want) <= REL * abs(want)
 

@@ -235,18 +235,22 @@ def builder_paths(grid, bump):
     """Each path builder's legs, with whether its points keep the exact profile."""
     mid = potential_from_radial_coeffs(grid, [-0.02, 0.04, 0.015])
     rng = np.random.default_rng(5)
-    vel, acc = (potential_from_radial_coeffs(grid, rng.uniform(-0.03, 0.03, 3)).values for _ in range(2))
+    vel, acc = (potential_from_radial_coeffs(grid, rng.uniform(-0.03, 0.03, 3)) for _ in range(2))
+    sampled_vel, sampled_acc = (bump.with_values(p.values) for p in (vel, acc))
     return {
         "linear": ([linear_path(bump)], True),
         "reparam": ([reparam_path(bump, power=3)], True),
         "segment": ([segment_path(mid, bump)], True),
         "two-leg": (two_leg_path(mid, bump), True),
-        "quadratic": ([quadratic_path(bump, vel, acc)], False),
+        "quadratic": ([quadratic_path(bump, sampled_vel, sampled_acc)], False),
+        "quadratic-profile": ([quadratic_path(bump, vel, acc)], True),
         "bergman": ([bergman_path(bump, 16)], False),
     }
 
 
-@pytest.mark.parametrize("name", ["linear", "reparam", "segment", "two-leg", "quadratic", "bergman"])
+@pytest.mark.parametrize(
+    "name", ["linear", "reparam", "segment", "two-leg", "quadratic", "quadratic-profile", "bergman"]
+)
 def test_path_derivatives_and_profiles(radial, bump, name):
     legs, keeps_profile = builder_paths(radial, bump)[name]
     h = 1e-4
@@ -633,7 +637,8 @@ def test_z_convexity_fd(radial):
 
 
 def test_hessian_constant_path_zero(radial, bump):
-    path = quadratic_path(bump, np.zeros_like(bump.values), np.zeros_like(bump.values))
+    still = bump.with_values(np.zeros_like(bump.values))
+    path = quadratic_path(bump, still, still)
     assert i_sigma_hessian(path, 0.5, 8) == 0.0
 
 
@@ -648,7 +653,7 @@ def test_hessian_matches_fd(radial, bump):
     k = 8
     vel = potential_from_radial_coeffs(radial, rng.uniform(-0.04, 0.04, 4)).values
     acc = potential_from_radial_coeffs(radial, rng.uniform(-0.03, 0.03, 4)).values
-    path = quadratic_path(bump, vel, acc)
+    path = quadratic_path(bump, bump.with_values(vel), bump.with_values(acc))
     s0, h = 0.5, 0.02
     for lift in (identity_lift(k), sigma_lift(V, k)):
         formula = i_sigma_hessian(path, s0, k, lift)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from kquant import (
     sigma_lift,
     zero_potential,
 )
-from kquant.geometry import TWIST_RATE_DEFAULT
+from kquant.geometry import TWIST_RATE_DEFAULT, kahler_density, radial_twin
 from kquant.grids import interp_matrix
 
 from helpers import map_points, radial_d_drho, rho_of, section_matrix
@@ -115,6 +117,20 @@ def test_laplacian_self_adjoint_and_mean_zero(radial, bump):
 def test_non_kahler_rejected(radial):
     with pytest.raises(NonKahlerError):
         metric_data(potential_from_radial_coeffs(radial, [2.5]))
+
+
+def test_non_kahler_error_names_the_worst_node(radial, grid2d):
+    # phi = 2.5 u has density 1 + 2.5 (1 - 2u), least at the outermost radius
+    for grid in (radial, grid2d):
+        low = 1.0 + 2.5 * (1.0 - 2.0 * grid.u[-1])
+        node = (grid.resolution - 1,) + (0,) * (len(grid.shape) - 1)
+        with pytest.raises(NonKahlerError, match=re.escape(f"min density {low:.3e} <= 0 at index {node}")):
+            metric_data(potential_from_radial_coeffs(grid, [2.5]))
+    # in a block the index leads with the field's place in it
+    block = np.ones((3,) + radial.shape)
+    block[1, 7] = -0.5
+    with pytest.raises(NonKahlerError, match=re.escape("min density -5.000e-01 <= 0 at index (1, 7)")):
+        kahler_density(block)
 
 
 def test_rotation_moment_potential_closed_form(radial, flat):
@@ -301,6 +317,29 @@ def test_lift_builds_again_on_another_grid(builds, radial, radial_small):
     assert len(builds) == 3
 
 
+def test_lift_shares_one_matrix_between_a_2d_grid_and_its_radial_factor(builds, grid2d):
+    # psi_potential composes on the 2D grid and an invariant leg on its radial factor
+    lift = AutomorphismLift(scale=1.1, degree=4)
+    on_2d = sampled(potential_from_radial_coeffs(grid2d, [0.05]))
+    on_factor = radial_twin(on_2d)
+    on_both = lift.compose_potential(on_2d)[:, 0], lift.compose_potential(on_factor)
+    assert np.max(np.abs(on_both[0] - on_both[1])) <= 1e-15 * np.max(np.abs(on_both[0]))
+    assert len(builds) == 1
+
+
+def test_radial_twin_keeps_values_and_profile(radial, grid2d):
+    prof = potential_from_radial_coeffs(grid2d, [0.05, -0.07])
+    for pot in (prof, sampled(prof)):
+        twin = radial_twin(pot)
+        assert twin.grid is grid2d.radial and twin.profile is pot.profile
+        assert np.array_equal(twin.values, pot.values[:, 0])
+        assert radial_twin(twin) is twin
+    on_radial = potential_from_radial_coeffs(radial, [0.05])
+    assert radial_twin(on_radial) is on_radial
+    with pytest.raises(KQuantError):
+        radial_twin(potential_from_values(grid2d, prof.values + 0.02 * first_harmonic(grid2d)))
+
+
 @pytest.mark.parametrize("grid_name", ["radial", "grid2d"])
 def test_cached_pullback_equals_fresh_build(request, grid_name):
     grid = request.getfixturevalue(grid_name)
@@ -408,7 +447,7 @@ def test_non_invariant_values_are_not_flagged_invariant(tmp_path, grid2d, route)
     if route == "with_values":
         pot = base.with_values(base.values + wave)
     elif route == "quadratic-path":
-        pot = quadratic_path(base, wave, np.zeros(grid2d.shape)).phi(0.5)
+        pot = quadratic_path(base, base.with_values(wave), zero_potential(grid2d)).phi(0.5)
     elif route == "small-wave":
         pot = potential_from_values(grid2d, base.values + 1e-9 * first_harmonic(grid2d))
     else:

@@ -127,6 +127,23 @@ def test_interp_matrix_matches_row_loop(n):
     assert np.array_equal(interp_matrix(u, w, targets), loop_interp_matrix(u, w, targets))
 
 
+def loop_barycentric_weights(x):
+    """Reference barycentric weights, one node at a time."""
+    scale = 4.0 / (x.max() - x.min())
+    w = np.ones(len(x))
+    for i in range(len(x)):
+        d = scale * (x[i] - x)
+        d[i] = 1.0
+        w[i] = 1.0 / np.prod(d)
+    return w / np.abs(w).max()
+
+
+@pytest.mark.parametrize("n", [16, 64, 96, 128, 512, 1024])
+def test_barycentric_weights_match_row_loop(n):
+    u, _ = gauss_legendre_01(n)
+    assert np.array_equal(barycentric_weights(u), loop_barycentric_weights(u))
+
+
 def loop_diff_matrix(x, w):
     """Reference differentiation matrix, built one row at a time."""
     D = np.zeros((len(x), len(x)))
