@@ -321,7 +321,8 @@ def i_sigma_k(
     """Twisted Aubin energy: the integral of its differential from 0.
 
     The default path is the straight segment s -> s phi, on which the
-    identity twist takes the closed form k(k+1) E(phi).  Otherwise each leg
+    identity twist takes the closed form k(k+1) E(phi), read on the grid's
+    radial factor when phi is circle-invariant.  Otherwise each leg
     of the path, or of a supplied path or list of legs, is integrated by
     the path rule; the cocycle property makes leg sums meaningful.  At the
     identity twist the one-form is exact and the value is path independent
@@ -334,6 +335,7 @@ def i_sigma_k(
             raise KQuantError("need a potential or an explicit path")
         pot = pot_or_paths
         if lift.is_identity:  # the density is affine along the segment: positive at its end, positive on it
+            pot = radial_twin(pot) if pot.invariant else pot
             md = metric_data(pot)
             return float(k * (k + 1) * 0.5 * (pot.grid.integrate(pot.values) + md.integrate(pot.values)))
         path = linear_path(pot)

@@ -151,6 +151,20 @@ def test_leg_with_a_non_invariant_term_takes_the_2d_rule(monkeypatch, grid2d):
     assert abs(got - want) <= REL * abs(want)
 
 
+def test_identity_closed_form_of_an_invariant_potential_runs_on_the_radial_factor(monkeypatch, grid2d):
+    # the Aubin energy of a circle-invariant sampled potential reads its
+    # density on the 96 radial nodes, and agrees with the 2D closed form
+    projected = fs(hilb(potential_from_radial_coeffs(grid2d, [0.05, -0.07]), K), grid2d)
+    assert projected.invariant and projected.profile is None
+    md = metric_data(projected)
+    want = K * (K + 1) * 0.5 * (grid2d.integrate(projected.values) + md.integrate(projected.values))
+    seen = []
+    monkeypatch.setattr(kquant.functionals, "metric_data", lambda p: seen.append(p.grid) or metric_data(p))
+    got = i_sigma_k(projected, K)
+    assert len(seen) == 1 and seen[0] is grid2d.radial
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def cos2_wave(grid2d):
     """A non-invariant potential: a profile's samples plus u(1-u) cos 2 theta."""
     wave = grid2d.u[:, None] * (1.0 - grid2d.u[:, None]) * np.cos(2.0 * grid2d.theta)[None, :]

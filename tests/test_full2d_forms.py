@@ -62,6 +62,24 @@ def grid(request):
     return build_grid("full2d", *request.param)
 
 
+def test_log_diagonal_density_runs_on_the_radial_factor(monkeypatch):
+    # a diagonal form's sections are monomials, whose norms carry no angle:
+    # its density is the radial factor's, with no factorization
+    grid = build_grid("full2d", 96, 64)
+    k = 31
+    form = HermForm(None, k, log_diag=np.random.default_rng(5).uniform(-1.0, 1.0, k + 1))
+    want = grid.log_density(HermForm(form.dense(), k))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense linear algebra on a log-diagonal form")
+
+    for name in ("cholesky", "inv", "solve", "slogdet", "eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    got = grid.log_density(form)
+    assert got.shape == grid.shape
+    assert rel_gap(np.exp(got), np.exp(want)) <= 1e-12
+
+
 @pytest.mark.parametrize("shape, k", CASES, ids=[f"{s[0]}x{s[1]}-k{k}" for s, k in CASES])
 def test_forms_and_contractions_match_the_section_table(shape, k):
     grid = build_grid("full2d", *shape)

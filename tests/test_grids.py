@@ -1,8 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from kquant import grids
 from kquant.grids import (
     GridError,
+    KQuantError,
     barycentric_weights,
     build_grid,
     diff_matrix,
@@ -48,16 +52,52 @@ def test_weights_positive():
         assert np.all(np.asarray(g.weights) > 0)
 
 
+# The 512-node rule on [0, 1] to 30 digits, from Newton's method on the
+# Legendre recurrence in 40-digit arithmetic: index -> (node, weight) for the
+# first node, the two middle ones and the last.
+GL512 = {
+    0: ("0.00000550450780906600635793755048204", "0.0000141263186869673460193725053923"),
+    255: ("0.498467518907420301923538403356", "0.00306495258770289287957817553352"),
+    256: ("0.501532481092579698076461596644", "0.00306495258770289287957817553352"),
+    511: ("0.999994495492190933993642062450", "0.0000141263186869673460193725053923"),
+}
+
+
 def test_gauss_legendre_polynomial_exactness():
-    u, w = gauss_legendre_01(16)
-    for m in range(0, 31):
-        assert abs(np.dot(w, u**m) - 1.0 / (m + 1)) < 1e-14
+    # exact to degree 2n - 1, and an exact mirror image about u = 1/2
+    for n in range(1, 41):
+        u, w = gauss_legendre_01(n)
+        m = np.arange(2 * n)
+        assert np.max(np.abs(u[None, :] ** m[:, None] @ w - 1.0 / (m + 1))) <= 2e-15
+        assert np.array_equal(w, w[::-1]) and np.array_equal(u + u[::-1], np.ones(n))
+
+
+def test_gauss_legendre_rule_matches_a_30_digit_reference():
+    # numpy's leggauss misses the end weights by 1.1e-10 relative at this size
+    u, w = gauss_legendre_01(512)
+    for i, (node, weight) in GL512.items():
+        assert abs(Fraction(float(u[i])) - Fraction(node)) <= 2e-16
+        assert abs(Fraction(float(w[i])) / Fraction(weight) - 1) <= 1e-11
+
+
+def test_building_a_grid_runs_no_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolver ran while building a grid")
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(grids, "_GAUSS_RULES", {})  # the rule is built afresh
+    g = build_grid("radial", 512)
+    assert abs(g.integrate(np.ones(512)) - 1.0) <= 1e-15
+
+
+def test_gauss_legendre_rule_needs_a_node():
+    with pytest.raises(KQuantError):
+        gauss_legendre_01(0)
 
 
 def test_gauss_legendre_rule_is_cached_and_read_only():
     u, w = gauss_legendre_01(24)
-    x, wx = np.polynomial.legendre.leggauss(24)
-    assert np.array_equal(u, 0.5 * (x + 1.0)) and np.array_equal(w, 0.5 * wx)
     assert gauss_legendre_01(24)[0] is u and build_grid("full2d", 24, 8).u is u
     with pytest.raises(ValueError):
         u[0] = 0.5
