@@ -33,15 +33,18 @@ closed form along the segment from 0 (Aubin, J. Funct. Anal. 1984):
 the Monge-Ampere energy of complex dimension 1.  A twist, or an explicit
 path, takes the path rule.  A path s -> sum_i c_i(s) P_i is linear in its
 terms, so Delta_0 and the pullback by sigma are applied once per term P_i and
-combined with the c_i at the nodes.  Delta_0 moves onto the direction as its
-transpose: int eta Delta_0 e^psi d mu_0 is the dot product of e^psi with the
-transpose applied to the weighted eta, the same sum reordered (the discrete
-Laplacian is not exactly self-adjoint, so its transpose, not itself, keeps
-the value).  Per node only e^psi and dot products with the term fields remain.
-When every P_i is circle-invariant, so is every field along the path (density,
-pullback defect, e^psi), and the rule runs on the radial factor of the grid:
-the 2D weights sum each radius over the angle, so on the full 2D grid the
-integrals are the same on n_u nodes instead of n_u x n_theta.
+combined with the c_i at the nodes.  When every P_i is circle-invariant, so
+is every field along the path (density, pullback defect, e^psi), and the
+rule runs on the radial factor of the grid: the 2D weights sum each radius
+over the angle, so on the full 2D grid the integrals are the same on n_u
+nodes instead of n_u x n_theta.  In int eta Delta_0 e^psi d mu_0 the
+Laplacian moves onto the terms of eta: by self-adjointness a term with an
+exact profile pairs e^psi with its exact Delta_0 P_i, which the density
+1 - Delta_0 phi_s already holds; a sampled term takes the transpose of the
+spectral Delta_0 applied to the weighted P_i, the node-by-node sum
+reordered, as the spectral Laplacian is not exactly self-adjoint under the
+Gauss weights.  Per node only e^psi and dot products with the term fields
+remain.
 
 delta I, delta L and the slope F_k' pair a field with k + Delta_phi, always on
 the base measure: int f (k + Delta_phi) g d mu_phi = k int f g d mu_phi +
@@ -59,7 +62,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .geometry import (
     AutomorphismLift,
@@ -141,16 +143,24 @@ class PathInPotentials:
         rates = [c for _, c in self.terms]
         for _ in range(m):  # numpy's polyder arithmetic, without its per-call overhead
             rates = [[j * a for j, a in enumerate(c)][1:] or [0.0] for c in rates]
-        return np.array([P.polyval(s, r) for r in rates])
+        rows = []
+        for r in rates:  # numpy's polyval Horner steps, in its order
+            c = r[-1] + s * 0
+            for a in r[-2::-1]:
+                c = a + c * s
+            rows.append(c)
+        return np.array(rows)
 
     def phi(self, s: float | np.ndarray) -> Potential:
         pots = [term for term, _ in self.terms]
         coefs = self.coefficients(s)
         profile = None
         if all(p.profile is not None for p in pots):
-            n = max(len(p.profile) for p in pots)
-            padded = [np.pad(p.profile, (0, n - len(p.profile))) for p in pots]
-            profile = sum(np.multiply.outer(c, a) for c, a in zip(padded, coefs))
+            table = np.zeros((len(pots), max(len(p.profile) for p in pots)))
+            for row, p in zip(table, pots):
+                row[: len(p.profile)] = p.profile
+            # the terms summed in order along the first axis, as the padded sum did
+            profile = (table.reshape(table.shape + (1,) * (coefs.ndim - 1)) * coefs[:, None]).sum(axis=0)
         return Potential(pots[0].grid, self._combine(coefs), all(p.invariant for p in pots), profile)
 
     def _combine(self, coefs) -> np.ndarray:
@@ -274,15 +284,17 @@ def _leg_integral(leg: PathInPotentials, k: int, lift: AutomorphismLift) -> floa
     the rule S_NODES/S_WEIGHTS, with Delta_0 and the pullback applied once per term.
 
     The one-form at a node is k sum_i c_i'(s) [k int e^psi P_i d mu_phi +
-    int P_i Delta_0 e^psi d mu_0].  The second pairing is e^psi dotted with
-    the transpose of Delta_0 applied to the weighted P_i: the node-by-node
-    sum, reordered.  At the identity e^psi = (k+1)/k and it vanishes.  With
-    a twist, both pairings take e^psi before its normalization, exponentiated
-    once, and the normalizing scale of each node multiplies them after.  The
-    node block holds the density, turned into volume weights, and the defect,
-    turned into its exponential and then its product with them.  A leg of
-    circle-invariant terms has invariant fields only, and runs on the grid's
-    radial factor.
+    int P_i Delta_0 e^psi d mu_0].  At the identity e^psi = (k+1)/k and the
+    second pairing vanishes.  With a twist, both pairings take e^psi before
+    its normalization, exponentiated once, and the normalizing scale of each
+    node multiplies them after.  The node block holds the density, turned
+    into volume weights, and the defect, turned into its exponential and then
+    its product with them.  A leg of circle-invariant terms has invariant
+    fields only, and runs on the grid's radial factor.  For a P_i with an
+    exact profile the second pairing is int e^psi Delta_0 P_i d mu_0, by
+    self-adjointness, with the exact Delta_0 P_i = 1 - density already formed;
+    for a sampled P_i it is e^psi dotted with the transpose of Delta_0 applied
+    to the weighted P_i: the node-by-node sum, reordered.
     """
     pots = [p for p, _ in leg.terms]
     if all(p.invariant for p in pots):
@@ -305,7 +317,10 @@ def _leg_integral(leg: PathInPotentials, k: int, lift: AutomorphismLift) -> floa
         defect /= 2.0 * np.pi
         weight = np.exp(defect, out=defect)
         scale = psi_scale(weight, k, grid, vw).reshape(n)
-        lap_terms = grid.base_laplace_transpose(values * grid.weights)
+        lap_terms = laplace * grid.weights
+        sampled = [i for i, p in enumerate(pots) if p.profile is None]
+        if sampled:
+            lap_terms[sampled] = grid.base_laplace_transpose(values[sampled] * grid.weights)
         lap_pairs = weight.reshape(n, -1) @ lap_terms.reshape(len(pots), -1).T
         weight *= vw
     mass_pairs = weight.reshape(n, -1) @ values.reshape(len(pots), -1).T
@@ -429,24 +444,28 @@ def extremal_field(group: VectorFieldSpec, grid) -> VectorFieldSpec:
     c = int S theta_V d mu / int theta_V^2 d mu makes theta_X the L^2
     projection of S onto the span of theta_V.  By Futaki-Mabuchi neither
     integral depends on the invariant potential, so both are read at 0 on
-    the radial rule, where S = SBAR, d mu = du and theta_V is the
-    strength (u - mean)/(2 pi).
+    the radial rule, where d mu = du and theta_V is the strength
+    (u - mean)/(2 pi).  theta_V has mean 0, so the numerator is the Futaki
+    invariant int (S - SBAR) theta_V d mu, 0.0 exactly since S = SBAR at 0.
     """
     if group.is_zero:
         return group
     rg = grid.radial
     theta = group.strength * rg.u / (2.0 * np.pi)
     theta = theta - rg.integrate(theta, keepdims=True)
-    c = rg.integrate(SBAR * theta) / rg.integrate(theta * theta)
+    scalar = np.full(rg.shape, SBAR)  # S at 0: the base metric's constant curvature
+    c = rg.integrate((scalar - SBAR) * theta) / rg.integrate(theta * theta)
     return VectorFieldSpec(strength=float(c) * group.strength)
 
 
 def modified_k_energy(pot: Potential, group: VectorFieldSpec) -> float:
     """Modified K-energy K + M_X, primitive of eta -> -int eta (S - 2 - theta_X) d mu_phi.
 
-    X is the extremal field of the group.  M_X comes first, so non-invariant
-    input fails before any work.
+    X is the extremal field of the group.  A circle group needs invariant
+    input, refused before any work, even where X is zero and M_X is skipped.
     """
+    if not (group.is_zero or pot.invariant):
+        raise KQuantError("the modified K-energy of a circle group needs circle-invariant input")
     return moment_energy(pot, extremal_field(group, pot.grid)) + mabuchi_energy(pot)
 
 

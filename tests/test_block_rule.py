@@ -13,6 +13,8 @@ import kquant.functionals
 from kquant import (
     Full2DGrid,
     NonKahlerError,
+    PathInPotentials,
+    RadialGrid,
     bergman_path,
     circle_group,
     delta_i_sigma,
@@ -36,7 +38,8 @@ from kquant import (
     sigma_lift,
     two_leg_path,
 )
-from kquant.functionals import S_NODES
+from kquant.functionals import S_NODES, S_WEIGHTS
+from kquant.geometry import radial_twin
 
 from helpers import laplace_floor, path_energies, path_integral_by_node
 
@@ -102,8 +105,8 @@ def aubin_by_node(path, lift) -> float:
 @pytest.mark.parametrize("name", ["linear", "reparam", "two-leg", "quadratic", "bergman"])
 def test_i_sigma_k_block_matches_node_loop(grid, name, twisted):
     # the leg rule applies each operator once per term and pairs e^psi with
-    # the transpose of Delta_0; the oracle forms e^psi and its Laplacian at
-    # every node
+    # the exact Laplacian of a profile term and the transpose of Delta_0 on a
+    # sampled term; the oracle forms e^psi and its Laplacian at every node
     lift = sigma_lift(V, K) if twisted else identity_lift(K)
     path = paths(grid, K)[name]
     got = i_sigma_k(None, K, lift, path=path)
@@ -149,6 +152,71 @@ def test_leg_with_a_non_invariant_term_takes_the_2d_rule(monkeypatch, grid2d):
     assert calls == ["base_laplace", "base_laplace_transpose"]
     want = aubin_by_node(path, lift)
     assert abs(got - want) <= REL * abs(want)
+
+
+def radial_products(monkeypatch, grid) -> list[str]:
+    """For each dense radial product on ``grid``, the matrix: "D", "D.T", or
+    "other" (the pullback's interpolation)."""
+    calls = []
+    real = RadialGrid.apply_radial
+
+    def spy(self, matrix, values):
+        if self is grid:
+            calls.append("D" if matrix is grid.D else "D.T" if matrix.base is grid.D else "other")
+        return real(self, matrix, values)
+
+    monkeypatch.setattr(RadialGrid, "apply_radial", spy)
+    return calls
+
+
+def test_twisted_leg_of_profile_terms_applies_no_dense_laplacian(monkeypatch, radial):
+    # e^psi pairs with the exact Laplacian of a profile term, which its
+    # density already holds: a leg of profile terms makes no dense product.  A
+    # sampled term makes those of its density, its pullback and its transpose.
+    lift = sigma_lift(V, K)
+    prof = potential_from_radial_coeffs(radial, [0.05, -0.07])
+    mid = potential_from_radial_coeffs(radial, [0.02, -0.03])
+    projected = fs(hilb(prof, K), radial)
+    assert projected.profile is None
+    sampled = ["D", "D", "other", "D.T", "D.T"]
+    for path, want in ((linear_path(prof), []), (two_leg_path(mid, prof), []), (linear_path(projected), sampled)):
+        with monkeypatch.context() as m:
+            calls = radial_products(m, radial)
+            i_sigma_k(None, K, lift, path=path)
+        assert calls == want
+
+
+def transpose_rule(legs, k, lift) -> float:
+    """The twisted Aubin energy of invariant legs on the radial factor, with
+    e^psi dotted with the transpose of the radial Delta_0, formed from D.T,
+    applied to each weighted term: the node-by-node sum reordered."""
+    total = 0.0
+    for leg in legs:
+        twin = PathInPotentials(tuple((radial_twin(p), c) for p, c in leg.terms))
+        rg = twin.terms[0][0].grid
+        DT, uv = rg.D.T, rg.u * (1.0 - rg.u)
+        terms = np.stack([p.values for p, _ in twin.terms])
+        lap_t = -(DT @ (uv[:, None] * (DT @ (rg.weights * terms).T))).T
+        pots = twin.phi(S_NODES)
+        md = metric_data(pots)
+        epsi = psi_potential(lift, pots, md=md).exp()
+        pairs = k * (epsi * md.volume_weights) @ terms.T + epsi @ lap_t.T
+        total += S_WEIGHTS @ (k * np.sum(twin.coefficients(S_NODES, 1).T * pairs, axis=1))
+    return float(total)
+
+
+@pytest.mark.parametrize("k", [8, 32])
+def test_invariant_twisted_legs_match_the_transpose_rule(grid, k):
+    # Delta_0 is self-adjoint: pairing e^psi with the exact Laplacian of a
+    # profile term keeps the value of the transpose rule
+    lift = sigma_lift(V, k)
+    prof = potential_from_radial_coeffs(grid, [0.05, -0.07])
+    projected = fs(hilb(prof, k), grid)
+    assert projected.invariant and projected.profile is None
+    for legs in ([linear_path(prof)], [linear_path(projected)], two_leg_path(prof, projected)):
+        got = i_sigma_k(None, k, lift, path=legs)
+        want = transpose_rule(legs, k, lift)
+        assert abs(got - want) <= REL * abs(want)
 
 
 def test_identity_closed_form_of_an_invariant_potential_runs_on_the_radial_factor(monkeypatch, grid2d):

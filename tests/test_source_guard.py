@@ -185,8 +185,9 @@ def test_functionals_forms_weight_and_path_rule_once():
     # the pointwise differentials form e^psi of one potential (or block) and
     # pair with (k + Delta_phi) through _pairing; the leg rule of i_sigma_k
     # forms e^psi of its node block from per-term pullbacks, scaled by the
-    # normalization quantize owns, and applies Delta_0 and its transpose once
-    # per term
+    # normalization quantize owns; it applies Delta_0 once per term for the
+    # density, which e^psi pairs with on a profile term, and its transpose
+    # once per sampled term
     assert owners(tree, calls("psi_potential")) == {"delta_i_sigma", "fk_prime"}
     assert owners(tree, calls("psi_scale")) == {"_leg_integral"}
     assert owners(tree, calls_laplacian) == {"_pairing", "_leg_integral"}
