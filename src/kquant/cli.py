@@ -76,8 +76,8 @@ def main(argv=None) -> int:
     runp.add_argument("--experiment", required=True, help="experiment name or 'all'")
     runp.add_argument("--config", help="flat key = value config file")
     runp.add_argument("--k", help="degree list, comma- or space-separated")
-    runp.add_argument("--resolution", type=int)
-    runp.add_argument("--seed", type=int)
+    runp.add_argument("--resolution")
+    runp.add_argument("--seed")
     runp.add_argument("--out", help="output directory")
     runp.add_argument("--format", help="comma-separated: csv,json,svg")
     args = parser.parse_args(argv)
@@ -91,17 +91,11 @@ def main(argv=None) -> int:
     try:
         if args.config:
             fields.update(_coerce(_parse_config_file(args.config)))
-        flags = {"k_list": args.k, "formats": args.format}
+        flags = dict(k_list=args.k, formats=args.format, resolution=args.resolution, seed=args.seed, out_dir=args.out)
         fields.update(_coerce({key: value for key, value in flags.items() if value}))
     except (KQuantError, OSError, ValueError) as err:
         print(f"invalid config: {err}", file=sys.stderr)
         return 2
-    if args.resolution is not None:
-        fields["resolution"] = args.resolution
-    if args.seed is not None:
-        fields["seed"] = args.seed
-    if args.out:
-        fields["out_dir"] = args.out
 
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     fields.pop("experiment", None)

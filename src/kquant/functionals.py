@@ -91,6 +91,7 @@ from .quantize import (
 __all__ = [
     "PathInPotentials",
     "linear_path",
+    "segment_path",
     "reparam_path",
     "two_leg_path",
     "quadratic_path",

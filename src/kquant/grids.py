@@ -8,7 +8,9 @@ The Gauss-Legendre rule comes from Newton's method on the Legendre
 recurrence, started at Tricomi's asymptotic roots (Hale and Townsend, SIAM
 J. Sci. Comput. 2013): O(n^2) work and no eigensolver.
 Radial fields are differentiated spectrally through the barycentric
-differentiation matrix of the Gauss-Legendre nodes; angular derivatives are
+differentiation matrix of the Gauss-Legendre nodes, whose barycentric
+weights come in closed form from the rule (Wang, Huybrechs and Vandewalle,
+Math. Comp. 2014), in double range at every n; angular derivatives are
 the FFT's spectral derivatives, applied as real n_theta x n_theta matrices.
 Fields with odd angular frequency carry half-integer powers of the radial
 coordinate, so their pointwise derivatives near the pole u = 1 are only
@@ -108,30 +110,23 @@ def gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _GAUSS_RULES[n]
 
 
-def barycentric_weights(x: np.ndarray) -> np.ndarray:
-    """Barycentric weights of the nodes x, capacity-scaled for stability.
+def barycentric_weights(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Barycentric weights of the Gauss-Legendre rule (u, w) on [0, 1], nodes increasing.
+
+    The closed form (-1)^j sqrt(u_j (1-u_j) w_j) (Wang, Huybrechs and
+    Vandewalle, Math. Comp. 2014) holds up to a common factor, which the
+    differentiation and interpolation matrices never see: O(n), and in
+    double range at every n.
+    """
+    signs = np.where(np.arange(len(u)) % 2, -1.0, 1.0)
+    return signs * np.sqrt(u * (1.0 - u) * w)
+
+
+def diff_matrix(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Spectral differentiation matrix on the nodes x with barycentric weights w.
 
     Built in blocks of at most 64 rows, so the temporaries stay a block's size.
     """
-    n = len(x)
-    # 4/(b-a) capacity scaling keeps the pairwise products in double range.
-    scale = 4.0 / (x.max() - x.min())
-    w = np.empty(n)
-    for start in range(0, n, 64):
-        i = np.arange(start, min(start + 64, n))
-        d = scale * np.subtract.outer(x[i], x)
-        d[i - start, i] = 1.0
-        w[i] = 1.0 / np.prod(d, axis=1)
-    return w / np.abs(w).max()
-
-
-def diff_matrix(x: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-    """Spectral differentiation matrix on arbitrary nodes x.
-
-    Built in blocks of at most 64 rows, so the temporaries stay a block's size.
-    """
-    if w is None:
-        w = barycentric_weights(x)
     n = len(x)
     D = np.empty((n, n))
     for start in range(0, n, 64):
@@ -158,20 +153,6 @@ def interp_matrix(x: np.ndarray, w: np.ndarray, targets: np.ndarray) -> np.ndarr
     P[rows] = 0.0
     P[rows, hit[rows].argmax(axis=1)] = 1.0
     return P
-
-
-# [nodes, barycentric weights] of the last radial nodes tabulated.
-_BARY_SLOT: list = [None, None]
-
-
-def _shared_bary(u: np.ndarray) -> np.ndarray:
-    """Barycentric weights of the nodes u, read-only and shared by the radial
-    grids on one node array.  One slot, like the grids' own tables."""
-    if _BARY_SLOT[0] is not u:
-        bary = barycentric_weights(u)
-        bary.flags.writeable = False
-        _BARY_SLOT[:] = u, bary
-    return _BARY_SLOT[1]
 
 
 @dataclass(frozen=True)
@@ -204,7 +185,7 @@ class RadialGrid:
 
     @cached_property
     def bary(self) -> np.ndarray:
-        return _shared_bary(self.u)
+        return barycentric_weights(self.u, self.weights)
 
     @cached_property
     def D(self) -> np.ndarray:

@@ -147,11 +147,10 @@ class _Ctx:
         self.cfg = cfg
         self.grid = build_grid(cfg.grid_mode, cfg.resolution, cfg.n_theta)
         self.V = G.rotation_field(1.0)
-        if isinstance(cfg.potential, str) and cfg.potential != "published":
+        if isinstance(cfg.potential, str):
             self.pot = G.load_potential(cfg.potential, self.grid)
         else:
-            coeffs = PUBLISHED_BUMP if cfg.potential == "published" else cfg.potential
-            self.pot = G.potential_from_radial_coeffs(self.grid, list(coeffs))
+            self.pot = G.potential_from_radial_coeffs(self.grid, list(cfg.potential))
 
     def lift(self, k: int, twisted: bool):
         if not twisted:

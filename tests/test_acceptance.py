@@ -108,6 +108,12 @@ def test_criterion_06_second_derivative_formula():
     _run_and_check(6, "second-derivative formula", experiment="hessian-check", resolution=RES)
 
 
+def test_criterion_06_second_derivative_formula_at_resolution_2048():
+    # past n = 1098, where a product of node differences leaves double
+    # range; D reads the closed-form barycentric weights
+    _run_and_check(6, "second-derivative formula", experiment="hessian-check", resolution=2048)
+
+
 def test_criterion_07_concavity_threshold():
     _run_and_check(7, "concavity along projection path", experiment="i-concavity", resolution=RES)
 

@@ -105,36 +105,46 @@ def test_gauss_legendre_rule_is_cached_and_read_only():
         w *= 2.0
 
 
-def test_radial_grids_share_read_only_barycentric_weights():
-    # grids on one node array share their barycentric weights, bit-identical
-    # to a fresh build; the differentiation matrix stays each grid's own
+def test_radial_grids_read_the_closed_form_barycentric_weights():
+    # a radial grid and a full2d grid's radial factor read the closed form of
+    # their own rule, and build D from it
     a, b = build_grid("radial", 96), build_grid("full2d", 96, 32).radial
-    assert a.bary is b.bary and not a.bary.flags.writeable
-    fresh = barycentric_weights(a.u)
-    assert np.array_equal(a.bary, fresh) and np.array_equal(a.D, diff_matrix(a.u, fresh))
-    # one slot: another node set takes it, and the first set builds again, equal
-    assert build_grid("radial", 64).bary.shape == (64,)
-    again = build_grid("radial", 96).bary
-    assert again is not a.bary and np.array_equal(again, a.bary)
+    u, w = gauss_legendre_01(96)
+    fresh = barycentric_weights(u, w)
+    assert np.array_equal(a.bary, fresh) and np.array_equal(b.bary, fresh)
+    assert np.array_equal(a.D, diff_matrix(u, fresh))
 
 
 def test_diff_matrix_on_polynomials():
-    u, _ = gauss_legendre_01(48)
-    D = diff_matrix(u)
+    u, w = gauss_legendre_01(48)
+    D = diff_matrix(u, barycentric_weights(u, w))
     f = u**5 - 3.0 * u**2 + u
     df = 5.0 * u**4 - 6.0 * u + 1.0
     assert np.max(np.abs(D @ f - df)) < 1e-10
 
 
 def test_diff_matrix_kills_constants():
-    u, _ = gauss_legendre_01(32)
-    D = diff_matrix(u)
+    u, w = gauss_legendre_01(32)
+    D = diff_matrix(u, barycentric_weights(u, w))
     assert np.max(np.abs(D @ np.ones_like(u))) < 1e-11
 
 
+@pytest.mark.parametrize("n", [1099, 2048])
+def test_diff_matrix_at_high_resolution(n):
+    # a product of node differences leaves double range from n = 1099 on;
+    # the closed-form weights do not
+    u, w = gauss_legendre_01(n)
+    D = diff_matrix(u, barycentric_weights(u, w))
+    assert np.all(np.isfinite(D))
+    assert np.max(np.abs(D @ np.ones_like(u))) < 1e-7
+    f = u**5 - 3.0 * u**2 + u
+    df = 5.0 * u**4 - 6.0 * u + 1.0
+    assert np.max(np.abs(D @ f - df)) < 1e-7
+
+
 def test_barycentric_interpolation():
-    u, _ = gauss_legendre_01(64)
-    w = barycentric_weights(u)
+    u, gw = gauss_legendre_01(64)
+    w = barycentric_weights(u, gw)
     targets = np.linspace(0.05, 0.95, 17)
     P = interp_matrix(u, w, targets)
     f = np.exp(-2.0 * u) * np.sin(3.0 * u)
@@ -158,8 +168,8 @@ def loop_interp_matrix(x, w, targets):
 
 @pytest.mark.parametrize("n", [16, 96, 512])
 def test_interp_matrix_matches_row_loop(n):
-    u, _ = gauss_legendre_01(n)
-    w = barycentric_weights(u)
+    u, gw = gauss_legendre_01(n)
+    w = barycentric_weights(u, gw)
     lam2 = 1.7
     targets = lam2 * u / (1.0 - u + lam2 * u)
     targets[::5] = u[::5]  # exact node hits among off-node points
@@ -178,10 +188,15 @@ def loop_barycentric_weights(x):
     return w / np.abs(w).max()
 
 
-@pytest.mark.parametrize("n", [16, 64, 96, 128, 512, 1024])
+@pytest.mark.parametrize("n", [16, 64, 96, 128, 512, 1024, 1098])
 def test_barycentric_weights_match_row_loop(n):
-    u, _ = gauss_legendre_01(n)
-    assert np.array_equal(barycentric_weights(u), loop_barycentric_weights(u))
+    # the closed form equals the product on the Gauss-Legendre nodes up to a
+    # common factor, within 1e-11 relative node by node up to
+    # n = 1098, the last size whose row products stay in double range
+    u, w = gauss_legendre_01(n)
+    closed, product = barycentric_weights(u, w), loop_barycentric_weights(u)
+    closed *= (closed @ product) / (closed @ closed)
+    assert np.max(np.abs(closed - product) / np.abs(product)) < 1e-11
 
 
 def loop_diff_matrix(x, w):
@@ -197,8 +212,8 @@ def loop_diff_matrix(x, w):
 
 @pytest.mark.parametrize("n", [16, 64, 96, 512])
 def test_diff_matrix_matches_row_loop(n):
-    u, _ = gauss_legendre_01(n)
-    w = barycentric_weights(u)
+    u, gw = gauss_legendre_01(n)
+    w = barycentric_weights(u, gw)
     assert np.array_equal(diff_matrix(u, w), loop_diff_matrix(u, w))
 
 
@@ -211,8 +226,8 @@ def test_gradient_norm_pairs_one_derivative_with_itself(mode):
 
 
 def test_interp_hits_nodes_exactly():
-    u, _ = gauss_legendre_01(32)
-    w = barycentric_weights(u)
+    u, gw = gauss_legendre_01(32)
+    w = barycentric_weights(u, gw)
     P = interp_matrix(u, w, u[[3, 17]])
     f = np.cos(u)
     assert np.max(np.abs(P @ f - f[[3, 17]])) == 0.0

@@ -444,8 +444,12 @@ def test_cli_report_write_failure_after_the_run_exits_2(tmp_path, capsys, monkey
         ("twist_rate = -1.5\n", [], "'twist_rate'"),
         ("calibrate = true\n", [], "'calibrate'"),
         ("tol.bergman_fit_p = 5.0\n", [], "'tol.bergman_fit_p'"),
+        ("", ["--resolution", "abc"], "'abc'"),
     ],
-    ids=["no-equals", "non-numeric", "missing-file", "bad-k", "removed-key", "twist-rate", "calibrate", "tolerance"],
+    ids=[
+        "no-equals", "non-numeric", "missing-file", "bad-k", "removed-key", "twist-rate", "calibrate", "tolerance",
+        "bad-resolution",
+    ],
 )
 def test_cli_invalid_config_line(tmp_path, capsys, text, flags, names):
     cfg = tmp_path / "bad.cfg"
