@@ -83,7 +83,9 @@ class Potential:
     ``values`` has shape (n_u,) on a radial grid and (n_u, n_theta) on the
     full 2D grid, after any leading batch axes: a block of potentials, such
     as a path at all its quadrature nodes, is one Potential.  ``invariant``
-    marks circle-invariant data (always true in radial mode).  ``profile``
+    marks circle-invariant data and is computed: a profile implies it, and
+    otherwise the grid's invariance test decides, unless the caller passes
+    False to declare the potential non-invariant.  ``profile``
     optionally carries the exact u-polynomial the values were sampled from,
     up to a constant (so only an invariant potential has one): the
     coefficients of u, u^2, ..., one row per power, with the batch shape
@@ -104,6 +106,8 @@ class Potential:
             )
         if self.profile is not None and not self.invariant:
             raise KQuantError("a potential with a u-polynomial profile is circle-invariant")
+        if self.invariant and self.profile is None:
+            object.__setattr__(self, "invariant", self.grid.is_invariant(self.values))
 
     def with_values(self, values: np.ndarray) -> "Potential":
         """A potential on the same grid, flagged by the invariance of ``values``."""
@@ -135,9 +139,9 @@ def potential_from_radial_coeffs(grid, coeffs) -> Potential:
     return Potential(grid, grid.broadcast(vals), profile=coeffs)
 
 
-def potential_from_values(grid, values, invariant: bool | None = None) -> Potential:
-    values = np.asarray(values, dtype=float)
-    return Potential(grid, values, grid.is_invariant(values) if invariant is None else invariant)
+def potential_from_values(grid, values, invariant: bool = True) -> Potential:
+    """Sampled values; ``invariant=False`` declares them non-invariant, else the grid decides."""
+    return Potential(grid, np.asarray(values, dtype=float), invariant)
 
 
 def radial_twin(pot: Potential) -> Potential:
@@ -146,6 +150,14 @@ def radial_twin(pot: Potential) -> Potential:
         raise KQuantError("only a circle-invariant potential lives on the radial factor")
     rg = pot.grid.radial
     return pot if rg is pot.grid else Potential(rg, pot.grid.radial_part(pot.values), profile=pot.profile)
+
+
+def _finite_numbers(text: str) -> np.ndarray:
+    """The numbers of a potential file's line; NaN or infinity is refused."""
+    numbers = np.array([float(t) for t in text.split()])
+    if not np.all(np.isfinite(numbers)):
+        raise KQuantError(f"potential file has a non-finite entry {numbers[~np.isfinite(numbers)][0]}")
+    return numbers
 
 
 def load_potential(path, grid=None) -> Potential:
@@ -170,10 +182,10 @@ def load_potential(path, grid=None) -> Potential:
         if "coeffs" in fields:
             if grid is None:
                 raise KQuantError("coefficient potentials need a target grid")
-            return potential_from_radial_coeffs(grid, [float(t) for t in fields["coeffs"].split()])
+            return potential_from_radial_coeffs(grid, _finite_numbers(fields["coeffs"]))
         mode = fields["mode"]
         resolution = int(fields["resolution"])
-        raw = np.array([float(t) for t in fields["values"].split()])
+        raw = _finite_numbers(fields["values"])
         if grid is None:
             grid = build_grid(mode, resolution, int(fields.get("n_theta", 64)))
     except KQuantError:
@@ -288,11 +300,11 @@ def density_field(pot: Potential) -> np.ndarray:
 
 
 def kahler_density(density: np.ndarray) -> np.ndarray:
-    """The density, refused unless positive at every node (A_phi > 0); the
-    refusal names the minimum and its index in the field (or block)."""
+    """The density, refused unless positive at every node (A_phi > 0, so NaN
+    is refused); the refusal names the minimum and its index in the field (or block)."""
     worst = np.argmin(density)
     low = density.flat[worst]
-    if low <= 0.0:
+    if not low > 0.0:
         node = tuple(int(i) for i in np.unravel_index(worst, density.shape))
         raise NonKahlerError(f"potential not Kahler: min density {low:.3e} <= 0 at index {node}")
     return density

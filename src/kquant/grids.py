@@ -379,23 +379,14 @@ class Full2DGrid:
         return bool(np.max(spread) <= 1e-12 * max(1.0, np.max(values), -np.min(values)))
 
     def base_laplace(self, values: np.ndarray) -> np.ndarray:
-        """Delta_0 f = -(d_z d_zbar f)/A_0 = -(u (1-u) f_u)_u - f_theta_theta / (4 u (1-u)).
-
-        A block runs one field at a time, so its temporaries stay the size of one field.
-        """
+        """Delta_0 f = -(d_z d_zbar f)/A_0 = -(u (1-u) f_u)_u - f_theta_theta / (4 u (1-u))."""
         D, A2, uv = self.radial.D, self._angular[1], self._uv
-        out = np.empty(values.shape)
-        for i in np.ndindex(values.shape[:-2]):
-            out[i] = -(D @ (uv * (D @ values[i]))) - (values[i] @ A2) / (4.0 * uv)
-        return out
+        return -(D @ (uv * (D @ values))) - (values @ A2) / (4.0 * uv)
 
     def base_laplace_transpose(self, values: np.ndarray) -> np.ndarray:
-        """The transpose of base_laplace in the nodal dot product, one field at a time."""
+        """The transpose of base_laplace in the nodal dot product."""
         D, A2, uv = self.radial.D, self._angular[1], self._uv
-        out = np.empty(values.shape)
-        for i in np.ndindex(values.shape[:-2]):
-            out[i] = -(D.T @ (uv * (D.T @ values[i]))) - (values[i] / (4.0 * uv)) @ A2.T
-        return out
+        return -(D.T @ (uv * (D.T @ values))) - (values / (4.0 * uv)) @ A2.T
 
     def base_inner_grad(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """(d_z f, d_z g)/A_0 = u (1-u) f_u g_u + f_theta g_theta / (4 u (1-u));

@@ -102,6 +102,10 @@ class ExperimentConfig:
             raise G.KQuantError(f"a power-law fit needs at least 3 degrees; {self.experiment} fits {sorted(fitted)}")
         if not 8 <= self.resolution <= 4096:
             raise G.KQuantError("resolution must lie in [8, 4096]")
+        if self.seed < 0:
+            raise G.KQuantError(f"seed must be a non-negative integer, got {self.seed}")
+        if not (isinstance(self.potential, str) or np.all(np.isfinite(self.potential))):
+            raise G.KQuantError(f"potential coefficients must be finite, got {list(self.potential)}")
         unknown = [fmt for fmt in self.formats if fmt not in FORMATS]
         if unknown:
             raise G.KQuantError(f"unknown report formats {unknown}; choices: {sorted(FORMATS)}")
@@ -193,6 +197,8 @@ class _Ctx:
 # Experiments
 
 TWISTS = {False: "identity twist", True: "gradient twist"}
+# What a runner returns: (series, verdicts, notes); run_experiment names the Report.
+Outcome = tuple[list[Series], list[Verdict], list[str]]
 
 
 def _sweep(ctx: _Ctx, measure) -> dict:
@@ -207,7 +213,7 @@ def _twist_series(ctx: _Ctx, title: str, twisted: bool, values, fit: bool = Fals
     return Series(title.format(TWISTS[twisted]), ks, values, fitted)
 
 
-def _exp_bergman(ctx: _Ctx) -> Report:
+def _exp_bergman(ctx: _Ctx) -> Outcome:
     cfg = ctx.cfg
     md = G.metric_data(ctx.pot)
     ks = list(cfg.k_list)
@@ -221,10 +227,10 @@ def _exp_bergman(ctx: _Ctx) -> Report:
             Verdict("fit exponent", fit.exponent, ACCEPTANCE["bergman_fit_p"], ">="),
             Verdict("fit residual", fit.residual, ACCEPTANCE["bergman_fit_residual"]),
         ]
-    return Report("bergman-expansion", series, verdicts, ctx.environment())
+    return series, verdicts, []
 
 
-def _exp_psi(ctx: _Ctx) -> Report:
+def _exp_psi(ctx: _Ctx) -> Outcome:
     cfg = ctx.cfg
     md = G.metric_data(ctx.pot)
     theta = G.holomorphy_potential(ctx.V, ctx.pot, md)
@@ -241,7 +247,7 @@ def _exp_psi(ctx: _Ctx) -> Report:
         Verdict("series decreasing", float(decreasing), 1.0, ">="),
         Verdict("final vs fit prediction", factor, ACCEPTANCE["psi_final_factor"]),
     ]
-    return Report("psi-expansion", series, verdicts, ctx.environment())
+    return series, verdicts, []
 
 
 def _three_path_defect(ctx: _Ctx, k: int, twisted: bool) -> float:
@@ -259,7 +265,7 @@ def _three_path_defect(ctx: _Ctx, k: int, twisted: bool) -> float:
     return float((np.max(values) - np.min(values)) / ref)
 
 
-def _exp_path_independence(ctx: _Ctx) -> Report:
+def _exp_path_independence(ctx: _Ctx) -> Outcome:
     cfg = ctx.cfg
     ks = list(cfg.k_list)
     base_vals = [_three_path_defect(ctx, k, twisted=False) for k in ks]
@@ -272,16 +278,14 @@ def _exp_path_independence(ctx: _Ctx) -> Report:
     ]
     worst = float(np.max(base_vals))
     verdicts = [Verdict("path independence", worst, ACCEPTANCE["path_independence_rel"])]
-    rep = Report("path-independence", series, verdicts, ctx.environment())
-    rep.notes.append(
+    return series, verdicts, [
         "the gated functional uses the flow of the extremal field, which is "
         "trivial on this model; the gradient-twist defect is second order in "
         f"the twist displacement (fitted decay {fit_tw.exponent:.2f})"
-    )
-    return rep
+    ]
 
 
-def _exp_hessian(ctx: _Ctx) -> Report:
+def _exp_hessian(ctx: _Ctx) -> Outcome:
     cfg = ctx.cfg
 
     def max_rel_err(k, lift, twisted):
@@ -302,10 +306,10 @@ def _exp_hessian(ctx: _Ctx) -> Report:
     series = [_twist_series(ctx, "max rel err ({})", tw, vals) for tw, vals in rels.items()]
     worst = float(np.max(rels[False] + rels[True]))
     verdicts = [Verdict("second-derivative formula", worst, ACCEPTANCE["hessian_rel"])]
-    return Report("hessian-check", series, verdicts, ctx.environment())
+    return series, verdicts, []
 
 
-def _exp_z_convexity(ctx: _Ctx) -> Report:
+def _exp_z_convexity(ctx: _Ctx) -> Outcome:
     cfg = ctx.cfg
 
     def min_second_derivative(k, lift, twisted):
@@ -321,10 +325,10 @@ def _exp_z_convexity(ctx: _Ctx) -> Report:
     series = [_twist_series(ctx, "min FD second derivative ({})", tw, vals) for tw, vals in mins.items()]
     worst = float(np.min(mins[False] + mins[True]))
     verdicts = [Verdict("geodesic convexity", worst, ACCEPTANCE["z_convexity_floor"], ">=")]
-    return Report("z-convexity", series, verdicts, ctx.environment())
+    return series, verdicts, []
 
 
-def _exp_concavity(ctx: _Ctx) -> Report:
+def _exp_concavity(ctx: _Ctx) -> Outcome:
     cfg = ctx.cfg
     level = ACCEPTANCE["concavity_level"]
     ks = list(cfg.k_list)
@@ -341,12 +345,10 @@ def _exp_concavity(ctx: _Ctx) -> Report:
         series.append(_twist_series(ctx, "max hessian along projection path ({})", tw, vals))
     worst_k0 = math.inf if None in k0s else max(k0s)
     verdicts = [Verdict("concavity threshold degree", float(worst_k0), float(ACCEPTANCE["concavity_k0_max"]))]
-    rep = Report("i-concavity", series, verdicts, ctx.environment())
-    rep.notes.append(f"concavity holds from degree {k0s} on (identity, gradient twist)")
-    return rep
+    return series, verdicts, [f"concavity holds from degree {k0s} on (identity, gradient twist)"]
 
 
-def _exp_compare(ctx: _Ctx) -> Report:
+def _exp_compare(ctx: _Ctx) -> Outcome:
     def gap(k, lift, twisted):
         L = F.l_sigma_k(ctx.pot, k, lift)
         Z = F.z_sigma_k(Q.hilb(ctx.pot, k), ctx.grid, lift)
@@ -360,7 +362,7 @@ def _exp_compare(ctx: _Ctx) -> Report:
         Verdict(f"fit exponent ({TWISTS[tw]})", s.fit.exponent, ACCEPTANCE["compare_fit_p"], ">=")
         for tw, s in zip(TWISTS, series)
     ]
-    return Report("compare-LZ", series, verdicts, ctx.environment())
+    return series, verdicts, []
 
 
 def _quantize_family(ctx: _Ctx):
@@ -374,7 +376,7 @@ def _quantize_family(ctx: _Ctx):
     return [ctx.pot.scaled(t) for t in ts]
 
 
-def _exp_quantize(ctx: _Ctx) -> Report:
+def _exp_quantize(ctx: _Ctx) -> Outcome:
     fam = _quantize_family(ctx)
     E_plain = np.array([F.mabuchi_energy(p) for p in fam])
     E_matched = E_plain + np.array([F.moment_energy(p, ctx.V) for p in fam])
@@ -393,17 +395,15 @@ def _exp_quantize(ctx: _Ctx) -> Report:
         Verdict("fit exponent (twisted)", twisted.fit.exponent, ACCEPTANCE["quantize_fit_p"], ">="),
         Verdict("identity deviation decreasing", float(decreasing), 1.0, ">="),
     ]
-    rep = Report("quantize-E", [twisted, identity], verdicts, ctx.environment())
-    rep.notes.append(
+    return [twisted, identity], verdicts, [
         "with a twist the quantized energies converge to the k-energy plus the "
         "moment energy of the twist generator; the identity instance converges "
         "to the k-energy with an intrinsic subleading ratio that keeps its "
         "window fit near 0.8 for degrees up to 64 (reported, not gated)"
-    )
-    return rep
+    ]
 
 
-def _exp_almost_balanced(ctx: _Ctx) -> Report:
+def _exp_almost_balanced(ctx: _Ctx) -> Outcome:
     ref = G.zero_potential(ctx.grid)
 
     def slope_bound_chain(k, lift, twisted):
@@ -427,17 +427,15 @@ def _exp_almost_balanced(ctx: _Ctx) -> Report:
         verdicts = [Verdict("slope decay", identity_fit.exponent, ACCEPTANCE["slope_decay_p"], ">=")]
     chain_worst = float(np.min(chain))
     verdicts.append(Verdict("convexity chain inequality", chain_worst, -ACCEPTANCE["chain_slack"], ">="))
-    rep = Report("almost-balanced", series, verdicts, ctx.environment())
-    rep.notes.append(
+    return series, verdicts, [
         "at the reference round potential the identity-twist slope vanishes "
         "identically (the round metric is exactly balanced); the gradient-twist "
         "slope plateaus because the round potential does not solve the "
         "twist-weighted extremal equation"
-    )
-    return rep
+    ]
 
 
-def _exp_minimization(ctx: _Ctx) -> Report:
+def _exp_minimization(ctx: _Ctx) -> Outcome:
     cfg = ctx.cfg
     groups = [("trivial", F.trivial_group()), ("circle", F.circle_group(ctx.V))]
     series, verdicts = [], []
@@ -450,7 +448,7 @@ def _exp_minimization(ctx: _Ctx) -> Report:
             diffs.append(F.modified_k_energy(pot, grp))
         series.append(Series(f"energy gap ({name} group)", list(range(len(diffs))), diffs, None))
         verdicts.append(Verdict(f"minimum gap ({name})", float(np.min(diffs)), floor, ">="))
-    return Report("minimization", series, verdicts, ctx.environment())
+    return series, verdicts, []
 
 
 EXPERIMENTS = {
@@ -474,11 +472,9 @@ def run_experiment(config: ExperimentConfig) -> Report:
     the run, so they abort it rather than reach a verdict as inf or NaN.
     """
     ctx = _Ctx(config)
-    runner = EXPERIMENTS[config.experiment]
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return runner(ctx)
+            series, verdicts, notes = EXPERIMENTS[config.experiment](ctx)
     except (G.KQuantError, Q.NotPositiveDefiniteError, FloatingPointError) as err:
-        rep = Report(config.experiment, [], [Verdict("completed", 0.0, 1.0, ">=")], ctx.environment())
-        rep.notes.append(f"aborted: {err}")
-        return rep
+        series, verdicts, notes = [], [Verdict("completed", 0.0, 1.0, ">=")], [f"aborted: {err}"]
+    return Report(config.experiment, series, verdicts, ctx.environment(), notes)

@@ -152,7 +152,7 @@ def fs(form: HermForm, grid) -> Potential:
     which orthonormal basis a factorization produces.
     """
     vals = (grid.log_density(form) - np.log(form.dimension)) / form.degree
-    return Potential(grid, vals, grid.is_invariant(vals))
+    return Potential(grid, vals)
 
 
 @dataclass(frozen=True)

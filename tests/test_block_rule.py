@@ -334,6 +334,17 @@ def test_grid_operators_take_a_leading_batch_axis(grid):
     assert_stacked(grid.broadcast(R), [grid.broadcast(r) for r in R])
 
 
+def test_2d_laplacians_of_a_block_equal_the_field_loop_bit_for_bit(grid2d):
+    # each field of the block meets the same products in the same order as a
+    # single field does, so the whole-block expression changes no bit
+    F = np.random.default_rng(6).standard_normal((4, 8) + grid2d.shape)
+    for op in (grid2d.base_laplace, grid2d.base_laplace_transpose):
+        loop = np.empty(F.shape)
+        for i in np.ndindex(F.shape[:-2]):
+            loop[i] = op(F[i])
+        assert np.array_equal(op(F), loop)
+
+
 @pytest.mark.parametrize("twisted", [False, True], ids=["identity", "gradient"])
 def test_metric_layers_take_a_leading_batch_axis(grid, twisted):
     lift = sigma_lift(V, K) if twisted else identity_lift(K)

@@ -9,12 +9,14 @@ from kquant import (
     ExperimentConfig,
     KQuantError,
     NonKahlerError,
+    Potential,
     VectorFieldSpec,
     build_grid,
     holomorphy_potential,
     i_sigma_k,
     identity_lift,
     load_potential,
+    mabuchi_energy,
     metric_data,
     moment_energy,
     potential_from_radial_coeffs,
@@ -130,6 +132,15 @@ def test_non_kahler_error_names_the_worst_node(radial, grid2d):
     block = np.ones((3,) + radial.shape)
     block[1, 7] = -0.5
     with pytest.raises(NonKahlerError, match=re.escape("min density -5.000e-01 <= 0 at index (1, 7)")):
+        kahler_density(block)
+
+
+def test_nan_density_is_not_kahler(radial):
+    with pytest.raises(NonKahlerError, match="min density nan"):
+        metric_data(potential_from_values(radial, np.full(radial.shape, np.nan)))
+    block = np.ones((3,) + radial.shape)
+    block[2, 5] = np.nan
+    with pytest.raises(NonKahlerError, match=re.escape("at index (2, 5)")):
         kahler_density(block)
 
 
@@ -461,6 +472,23 @@ def test_non_invariant_values_are_not_flagged_invariant(tmp_path, grid2d, route)
     # invariant values stay flagged, and an explicit flag is honoured
     assert base.with_values(base.values + 0.01 * base.values**2).invariant
     assert not potential_from_values(grid2d, base.values, invariant=False).invariant
+
+
+def test_potential_works_out_its_own_invariance():
+    # the default flag once marked any samples invariant, so the invariant
+    # routes read only the theta = 0 column of a wave
+    grid = build_grid("full2d", 48, 32)
+    u, theta = grid.u[:, None], grid.theta[None, :]
+    phi = 0.03 * u**2 + 0.05 * u * (1.0 - u) * np.cos(2.0 * theta)
+    pot, sampled = Potential(grid, phi), potential_from_values(grid, phi)
+    assert not pot.invariant and not sampled.invariant
+    for lift in (identity_lift(8), sigma_lift(rotation_field(1.0), 8)):
+        assert i_sigma_k(pot, 8, lift) == i_sigma_k(sampled, 8, lift)
+    assert mabuchi_energy(pot) == mabuchi_energy(sampled)
+    # a profile implies invariance; invariant samples are found so; False is honoured
+    assert potential_from_radial_coeffs(grid, [0.03]).invariant
+    assert Potential(grid, grid.broadcast(0.03 * grid.u**2)).invariant
+    assert not Potential(grid, grid.broadcast(0.03 * grid.u**2), invariant=False).invariant
 
 
 def test_laplacian_eigenfunction_radial(radial, flat):

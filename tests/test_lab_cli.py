@@ -445,10 +445,12 @@ def test_cli_report_write_failure_after_the_run_exits_2(tmp_path, capsys, monkey
         ("calibrate = true\n", [], "'calibrate'"),
         ("tol.bergman_fit_p = 5.0\n", [], "'tol.bergman_fit_p'"),
         ("", ["--resolution", "abc"], "'abc'"),
+        ("potential = nan -0.07\n", [], "finite"),
+        ("", ["--seed", "-1"], "seed"),
     ],
     ids=[
         "no-equals", "non-numeric", "missing-file", "bad-k", "removed-key", "twist-rate", "calibrate", "tolerance",
-        "bad-resolution",
+        "bad-resolution", "nan-potential", "negative-seed",
     ],
 )
 def test_cli_invalid_config_line(tmp_path, capsys, text, flags, names):
@@ -486,7 +488,20 @@ def test_experiment_abort_becomes_failing_verdict():
     assert any("aborted" in n for n in rep.notes)
 
 
-@pytest.mark.parametrize("text", ["mode: radial\nresolution: 16\nvalues: 0 0 0\n", None], ids=["value-count", "missing"])
+SAMPLES_512 = "mode: radial\nresolution: 512\nvalues: {} " + "0 " * 511 + "\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "mode: radial\nresolution: 512\nvalues: 0 0 0\n",
+        None,
+        SAMPLES_512.format("nan"),
+        SAMPLES_512.format("-inf"),
+        "coeffs: nan 0.1\n",
+    ],
+    ids=["value-count", "missing", "nan-value", "inf-value", "nan-coeff"],
+)
 def test_cli_bad_potential_file_exits_2(tmp_path, capsys, text):
     pot = tmp_path / "pot.txt"
     if text is not None:
