@@ -570,11 +570,11 @@ def fk_prime(
     lambda_bound = max_a |lam_a| / k.
     """
     lift = lift_at_degree(k, lift)
-    H_star = hilb(pot_star, k)
+    md = metric_data(pot_star)
+    H_star = hilb(pot_star, k, md=md)
     H = hilb(pot, k)
     geo = bk_geodesic(H_star, H)
     grid = pot.grid
-    md = metric_data(pot_star)
     ratio = 0.5 * grid.geodesic_slope(geo, 0.0)  # sum lam |tau|^2 / sum |tau|^2
     epsi = psi_potential(lift, pot_star, md=md).exp()
     slope = float(2.0 * np.sum(geo.lambdas) - 2.0 * _pairing(md, ratio, epsi, k))

@@ -165,7 +165,9 @@ def load_potential(path, grid=None) -> Potential:
 
     Two layouts are accepted: radial coefficients ``coeffs: c1 c2 ...`` for
     phi = sum c_m u^m, or raw node samples with a grid header (mode,
-    resolution, optional n_theta, then a ``values:`` line).
+    resolution, optional n_theta, then a ``values:`` line).  Every declared
+    header key must match the grid's header, so a radial file declares no
+    n_theta; without a grid, the header builds one.
     """
     try:
         text = Path(path).read_text()
@@ -183,19 +185,19 @@ def load_potential(path, grid=None) -> Potential:
             if grid is None:
                 raise KQuantError("coefficient potentials need a target grid")
             return potential_from_radial_coeffs(grid, _finite_numbers(fields["coeffs"]))
-        mode = fields["mode"]
-        resolution = int(fields["resolution"])
+        header = {"mode": fields["mode"], "resolution": int(fields["resolution"])}
+        if "n_theta" in fields:
+            header["n_theta"] = int(fields["n_theta"])
         raw = _finite_numbers(fields["values"])
-        if grid is None:
-            grid = build_grid(mode, resolution, int(fields.get("n_theta", 64)))
+        grid = build_grid(**header) if grid is None else grid
     except KQuantError:
         raise
     except KeyError as missing:
         raise KQuantError(f"potential file missing field {missing}") from None
     except ValueError as err:
         raise KQuantError(f"potential file has a non-numeric entry: {err}") from None
-    if grid.mode != mode or grid.resolution != resolution:
-        raise KQuantError("potential file header does not match the supplied grid")
+    if {key: grid.header.get(key) for key in header} != header:
+        raise KQuantError(f"potential file header {header} does not match the grid's {grid.header}")
     if raw.size != np.prod(grid.shape):
         raise KQuantError(
             f"potential file has {raw.size} values; grid shape {grid.shape} needs {np.prod(grid.shape)}"

@@ -56,21 +56,7 @@ ACCEPTANCE = {
 # degrees 8..64 sits in the asymptotic regime (fitted decay just above 0.9).
 PUBLISHED_BUMP = (0.05, -0.07)
 
-DEFAULT_KS = {
-    "bergman-expansion": (8, 16, 32, 64),
-    "psi-expansion": (8, 16, 32, 64),
-    "path-independence": (4, 8),
-    "hessian-check": (8, 32),
-    "z-convexity": (6, 12),
-    "i-concavity": (8, 16, 32, 64),
-    "compare-LZ": (8, 16, 32, 64),
-    "quantize-E": (8, 12, 16, 24, 32, 48, 64),
-    "almost-balanced": (8, 16, 32, 64),
-    "minimization": (8,),
-}
-# The experiments that fit a power law over their degrees.  path-independence
-# fits its gradient-twist defect over k_list and PATH_TWIST_KS, to expose its decay.
-FITTED = {"bergman-expansion", "psi-expansion", "path-independence", "compare-LZ", "quantize-E", "almost-balanced"}
+# path-independence fits its gradient-twist defect over k_list and these, to expose its decay.
 PATH_TWIST_KS = (16, 32)
 
 
@@ -87,19 +73,22 @@ class ExperimentConfig:
     formats: tuple[str, ...] = ("json",)
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS and self.experiment != "all":
+        if self.experiment not in EXPERIMENTS:
             raise G.KQuantError(
                 f"unknown experiment {self.experiment!r}; choices: {sorted(EXPERIMENTS)}"
             )
-        ks = self.k_list or DEFAULT_KS.get(self.experiment, (8, 16, 32, 64))
-        object.__setattr__(self, "k_list", tuple(int(k) for k in ks))
+        _, default_ks, also_fitted = EXPERIMENTS[self.experiment]
+        object.__setattr__(self, "k_list", tuple(int(k) for k in self.k_list or default_ks))
         if any(k < 1 for k in self.k_list) or any(
             a >= b for a, b in zip(self.k_list, self.k_list[1:])
         ):
             raise G.KQuantError("k_list must be strictly increasing positive integers")
-        fitted = set(self.k_list) | set(PATH_TWIST_KS if self.experiment == "path-independence" else ())
-        if self.experiment in FITTED and len(fitted) < 3:
-            raise G.KQuantError(f"a power-law fit needs at least 3 degrees; {self.experiment} fits {sorted(fitted)}")
+        fitted = sorted(set(self.k_list).union(also_fitted or ()))
+        if also_fitted is not None and len(fitted) < 3:
+            raise G.KQuantError(f"a power-law fit needs at least 3 degrees; {self.experiment} fits {fitted}")
+        k0_max = ACCEPTANCE["concavity_k0_max"]
+        if self.experiment == "i-concavity" and self.k_list[0] > k0_max:
+            raise G.KQuantError(f"i-concavity needs concavity from a degree <= {k0_max}; k_list starts at {self.k_list[0]}")
         if not 8 <= self.resolution <= 4096:
             raise G.KQuantError("resolution must lie in [8, 4096]")
         if self.seed < 0:
@@ -451,17 +440,18 @@ def _exp_minimization(ctx: _Ctx) -> Outcome:
     return series, verdicts, []
 
 
+# name: (runner, default degrees, degrees fitted besides k_list, or None when it fits nothing)
 EXPERIMENTS = {
-    "bergman-expansion": _exp_bergman,
-    "psi-expansion": _exp_psi,
-    "path-independence": _exp_path_independence,
-    "hessian-check": _exp_hessian,
-    "z-convexity": _exp_z_convexity,
-    "i-concavity": _exp_concavity,
-    "compare-LZ": _exp_compare,
-    "quantize-E": _exp_quantize,
-    "almost-balanced": _exp_almost_balanced,
-    "minimization": _exp_minimization,
+    "bergman-expansion": (_exp_bergman, (8, 16, 32, 64), ()),
+    "psi-expansion": (_exp_psi, (8, 16, 32, 64), ()),
+    "path-independence": (_exp_path_independence, (4, 8), PATH_TWIST_KS),
+    "hessian-check": (_exp_hessian, (8, 32), None),
+    "z-convexity": (_exp_z_convexity, (6, 12), None),
+    "i-concavity": (_exp_concavity, (8, 16, 32, 64), None),
+    "compare-LZ": (_exp_compare, (8, 16, 32, 64), ()),
+    "quantize-E": (_exp_quantize, (8, 12, 16, 24, 32, 48, 64), ()),
+    "almost-balanced": (_exp_almost_balanced, (8, 16, 32, 64), ()),
+    "minimization": (_exp_minimization, (8,), None),
 }
 
 
@@ -474,7 +464,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
     ctx = _Ctx(config)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            series, verdicts, notes = EXPERIMENTS[config.experiment](ctx)
+            series, verdicts, notes = EXPERIMENTS[config.experiment][0](ctx)
     except (G.KQuantError, Q.NotPositiveDefiniteError, FloatingPointError) as err:
         series, verdicts, notes = [], [Verdict("completed", 0.0, 1.0, ">=")], [f"aborted: {err}"]
     return Report(config.experiment, series, verdicts, ctx.environment(), notes)

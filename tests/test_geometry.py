@@ -419,6 +419,24 @@ def test_potential_file_header_mismatch(tmp_path, radial):
 
 
 @pytest.mark.parametrize(
+    "text, grid",
+    [
+        # a declared n_theta is checked, even where the value count fits the grid
+        ("mode: full2d\nresolution: 16\nn_theta: 32\nvalues: " + " ".join(["0"] * 128) + "\n", ("full2d", 16, 8)),
+        # a radial grid has no angular nodes to declare
+        ("mode: radial\nresolution: 16\nn_theta: 8\nvalues: " + " ".join(["0"] * 16) + "\n", ("radial", 16)),
+        ("mode: radial\nresolution: 16\nn_theta: 8\nvalues: " + " ".join(["0"] * 16) + "\n", None),
+    ],
+    ids=["full2d-n_theta", "radial-n_theta", "radial-n_theta-no-grid"],
+)
+def test_potential_file_header_contradicting_the_grid(tmp_path, text, grid):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(KQuantError, match="does not match"):
+        load_potential(path, grid and build_grid(*grid))
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "mode: radial\nresolution: 16\nvalues: 0 0 0\n",  # wrong value count

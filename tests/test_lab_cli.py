@@ -74,7 +74,7 @@ def test_overflow_aborts_to_a_failing_verdict(monkeypatch):
         np.exp(np.array([1000.0]))
         raise AssertionError("the overflow did not raise")
 
-    monkeypatch.setitem(EXPERIMENTS, "bergman-expansion", overflowing)
+    monkeypatch.setitem(EXPERIMENTS, "bergman-expansion", (overflowing, *EXPERIMENTS["bergman-expansion"][1:]))
     rep = run_experiment(ExperimentConfig("bergman-expansion", resolution=16))
     assert not rep.passed
     assert [v.criterion for v in rep.verdicts] == ["completed"]
@@ -92,8 +92,9 @@ def test_fit_power_law_needs_three_points():
 
 
 def test_config_validation():
-    with pytest.raises(KQuantError):
-        ExperimentConfig(experiment="nope")
+    for name in ("nope", "all"):  # the CLI expands "all"; a config names one experiment
+        with pytest.raises(KQuantError, match="unknown experiment"):
+            ExperimentConfig(experiment=name)
     with pytest.raises(KQuantError):
         ExperimentConfig(experiment="bergman-expansion", k_list=(8, 8))
     with pytest.raises(KQuantError):
@@ -447,10 +448,12 @@ def test_cli_report_write_failure_after_the_run_exits_2(tmp_path, capsys, monkey
         ("", ["--resolution", "abc"], "'abc'"),
         ("potential = nan -0.07\n", [], "finite"),
         ("", ["--seed", "-1"], "seed"),
+        # the later --experiment wins; i-concavity fails whenever its first degree exceeds 32
+        ("", ["--experiment", "i-concavity", "--k", "64,128,256,512"], "degree <= 32"),
     ],
     ids=[
         "no-equals", "non-numeric", "missing-file", "bad-k", "removed-key", "twist-rate", "calibrate", "tolerance",
-        "bad-resolution", "nan-potential", "negative-seed",
+        "bad-resolution", "nan-potential", "negative-seed", "concavity-first-degree",
     ],
 )
 def test_cli_invalid_config_line(tmp_path, capsys, text, flags, names):

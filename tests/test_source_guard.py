@@ -17,8 +17,6 @@ import kquant
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "kquant"
 MODE_NAMES = {"mode", "grid_mode"}
-# load_potential checks a file header against the grid it is loaded onto.
-ALLOWED_MODE_COMPARISONS = {("geometry.py", "load_potential")}
 # The balanced iteration tracks l_sigma_k, which sits a layer above it.
 # Moving the iteration into functionals would rename its declared per-layer
 # benchmark metric quantize.sigma_balanced_iterate.*, so the import stays.
@@ -104,12 +102,7 @@ def test_only_grids_compares_modes(path):
     if path.name == "grids.py":
         return
     found = scan(path.read_text())
-    stray = [
-        (func, line)
-        for func, line in found.mode_comparisons
-        if (path.name, func) not in ALLOWED_MODE_COMPARISONS
-    ]
-    assert stray == [], f"{path.name} branches on the grid kind: {stray}"
+    assert found.mode_comparisons == [], f"{path.name} branches on the grid kind: {found.mode_comparisons}"
 
 
 @pytest.mark.parametrize("path", modules(), ids=lambda p: p.name)
